@@ -1,31 +1,44 @@
-"""Shared helpers for the spark-submit job entrypoints.
+"""Shared helpers for the spark-submit job entrypoints, including the one
+Spark session factory that the tests, the smoke scripts and the benchmark
+harness also use.
 
 Each job is also importable (``main(spark) -> list[dict]``) so tests can
-run it at a tiny scale factor and the benchmark harness can reuse the
-session-scoped fixture session.
+run it at a tiny scale factor.
 """
 from __future__ import annotations
 
 import os
 import time
 
-# Driver memory must be fixed before the JVM launches (i.e. before any
-# pyspark import anywhere). 16g is enough for SF=0.1 caches while leaving
-# headroom for a concurrently running test session.
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '16g')} "
-    "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
 from pyspark.sql import DataFrame, SparkSession
 
 
+def _driver_memory() -> str:
+    """``SPARK_DRIVER_MEM``, or else half of the machine's RAM clamped to
+    2-8g."""
+    if mem := os.environ.get("SPARK_DRIVER_MEM"):
+        return mem
+    with open("/proc/meminfo") as f:
+        kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    return f"{min(8, max(2, kib // 2**21))}g"
+
+
 def get_spark(app: str) -> SparkSession:
-    """Session for standalone (spark-submit / python) execution, mirroring
-    the test fixture's config (broadcast joins off, Arrow on)."""
+    """The local Spark session: broadcast joins off, Arrow on.
+
+    Master and driver memory are read when the JVM launches, so they go
+    into ``PYSPARK_SUBMIT_ARGS`` — only as a default, so launch args a
+    caller has pinned beforehand win. The remaining configs are honoured
+    after launch. Automatic broadcast is off so base-relation joins take
+    the shuffle path; the engine broadcasts its views explicitly.
+    """
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {_driver_memory()} "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        "pyspark-shell",
+    )
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
@@ -35,11 +48,6 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-
-
-def bench_sf() -> float:
-    """Benchmark scale factor (REPRO_BENCH_SF env, default 0.1 ~ 100MB)."""
-    return float(os.environ.get("REPRO_BENCH_SF", "0.1"))
 
 
 def force(results: dict[str, DataFrame]) -> int:

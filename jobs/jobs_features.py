@@ -1,4 +1,5 @@
-"""Standard (moderate) feature sets shared by the T2/T3 jobs and benches.
+"""Standard (moderate) feature sets shared by the T2/T3 jobs and the
+benchmark workloads.
 
 Moderate so the quadratic sigma batch stays in the tens of queries and
 the naive strategy remains tractable at SF=0.1; the full-width sets used

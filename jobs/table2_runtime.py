@@ -7,7 +7,8 @@ own, and the multi-output pass adds further sharing. Strategies:
 * ``naive``       — one independent join+aggregate per query
 * ``shared_join`` — materialize D once (cached), aggregate per query
 * ``lmfao_nomoo`` — LMFAO views, but one groupBy per view (ablation)
-* ``lmfao``       — full engine (merged views + grouping-sets passes)
+* ``lmfao``       — full engine (merged views + multi-output passes: one
+  partial aggregate per view-group partition, then a rollup per view)
 
 Run: ``spark-submit jobs/table2_runtime.py [sf]``
 """

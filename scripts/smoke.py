@@ -1,12 +1,14 @@
 """Manual smoke test: run the paper's three example queries on Favorita
-through the engine, the baselines, and the DuckDB oracle."""
-import os
+through the engine, the baselines, and the DuckDB oracle.
+
+Run from the repository root: ``PYTHONPATH=src python scripts/smoke.py``
+"""
 import sys
+from pathlib import Path
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS before pyspark import)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
-from pyspark.sql import SparkSession
+from _common import get_spark  # noqa: E402
 
 from repro.core import Engine, Query, SumProduct
 from repro.core.baseline import run_naive, run_shared_join
@@ -14,13 +16,7 @@ from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
 from repro.oracle import assert_equivalent
 
-spark = (
-    SparkSession.builder.appName("smoke")
-    .config("spark.sql.shuffle.partitions", "8")
-    .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .getOrCreate()
-)
+spark = get_spark("smoke")
 spark.sparkContext.setLogLevel("ERROR")
 
 db = favorita_db(spark, sf=0.002)

@@ -1,12 +1,14 @@
-"""Manual smoke test for the three applications on tiny Favorita."""
-import os
-import sys
+"""Manual smoke test for the three applications on tiny Favorita.
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-import conftest  # noqa: F401
+Run from the repository root: ``PYTHONPATH=src python scripts/smoke_ml.py``
+"""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
 import numpy as np
-from pyspark.sql import SparkSession
+from _common import get_spark  # noqa: E402
 
 from repro.core.executor import Engine
 from repro.datasets import favorita_db
@@ -14,13 +16,7 @@ from repro.ml.decision_tree import build_tree, predict
 from repro.ml.linreg import Feature, closed_form, sigma_batch, train_linreg
 from repro.ml.rkmeans import lloyd_on_full_data, relative_approximation, rkmeans
 
-spark = (
-    SparkSession.builder.appName("smoke-ml")
-    .config("spark.sql.shuffle.partitions", "8")
-    .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
-    .getOrCreate()
-)
+spark = get_spark("smoke-ml")
 spark.sparkContext.setLogLevel("ERROR")
 db = favorita_db(spark, sf=0.002)
 

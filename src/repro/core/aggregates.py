@@ -64,11 +64,14 @@ class SumProduct:
         """Canonical identity; equal partial aggregates share one column."""
         return repr(self.factors)
 
-    def product_sql(self, extra_terms: list[str] | None = None) -> str:
-        """The product expression: local factors times ``extra_terms``
-        (incoming-view column references), or ``1.0`` for the empty product."""
+    def sum_sql(self, extra_terms: list[str] | None = None) -> str:
+        """The SQL aggregate ``SUM(CAST(<product> AS DOUBLE))``: the factors
+        times ``extra_terms`` (incoming-view column references), or ``1.0``
+        for the empty product. The engine, the baselines and the oracle
+        compiler all emit their aggregates through this one method."""
         terms = [f"({e})" for _, e in self.factors] + list(extra_terms or [])
-        return " * ".join(terms) if terms else "CAST(1.0 AS DOUBLE)"
+        prod = " * ".join(terms) if terms else "CAST(1.0 AS DOUBLE)"
+        return f"SUM(CAST({prod} AS DOUBLE))"
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,7 @@ from repro.core.database import Database
 
 
 def _agg_over(d: DataFrame, q: Query) -> DataFrame:
-    aggs = [
-        F.expr(f"SUM(CAST({sp.product_sql()} AS DOUBLE))").alias(alias)
-        for alias, sp in q.aggs
-    ]
+    aggs = [F.expr(sp.sum_sql()).alias(alias) for alias, sp in q.aggs]
     return d.groupBy(*q.group_by).agg(*aggs)
 
 

@@ -69,22 +69,22 @@ class Database:
         return df
 
     # ------------------------------------------------------------------
-    def join_order(self) -> list[str]:
-        """BFS over the tree from the first-declared relation.
+    def join_chain(self) -> list[tuple[str, tuple[str, ...]]]:
+        """BFS over the tree from the first-declared relation, as
+        ``(relation, sorted join attrs with its BFS parent)``.
 
-        Every relation after the first joins an already-visited neighbor,
-        so a left-deep chain in this order realizes the full natural join.
+        The first relation has no parent (empty attrs). Every later one
+        joins an earlier neighbor on the listed attrs, so folding the chain
+        left-deep realizes the full natural join.
         """
         root = self.tree.nodes[0]
-        order, seen = [root], {root}
-        i = 0
-        while i < len(order):
-            for m in sorted(self.tree.neighbors(order[i])):
-                if m not in seen:
-                    seen.add(m)
-                    order.append(m)
-            i += 1
-        return order
+        chain: list[tuple[str, tuple[str, ...]]] = [(root, ())]
+        seen = {root}
+        for node, _ in chain:  # also visits the entries appended below
+            for m in sorted(self.tree.neighbors(node) - seen):
+                seen.add(m)
+                chain.append((m, tuple(sorted(self.tree.join_attrs(node, m)))))
+        return chain
 
     def joined(self) -> DataFrame:
         """Materialize D = the natural join of all (filtered) relations.
@@ -92,14 +92,10 @@ class Database:
         Used by the baselines and by end-to-end ML cross-checks — the
         engine itself never materializes D.
         """
-        order = self.join_order()
-        out = self.df(order[0])
-        placed = {order[0]}
-        for name in order[1:]:
-            prev = next(p for p in placed if (name in self.tree.neighbors(p)))
-            on = sorted(self.tree.join_attrs(prev, name))
-            out = out.join(self.df(name), on=on, how="inner")
-            placed.add(name)
+        (first, _), *rest = self.join_chain()
+        out = self.df(first)
+        for name, on in rest:
+            out = out.join(self.df(name), on=list(on), how="inner")
         return out
 
     # ------------------------------------------------------------------

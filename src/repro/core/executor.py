@@ -8,7 +8,13 @@ all merged views with the same ``(node, direction)``. For each group:
    fan out; views carrying extra group-by attributes do, so an output
    must only join the carrying views it actually uses);
 2. each partition joins the node's relation with its referenced incoming
-   views once (the shared scan of the Multi-Output Optimization layer);
+   views once (the shared scan of the Multi-Output Optimization layer).
+   Views are small pre-aggregated lookup structures (in-memory hashmaps
+   in the paper's generated C++), so they are always hash-broadcast into
+   the scan and cached, as several downstream groups and queries read
+   them. Broadcast applies ONLY to view joins: the session disables
+   automatic broadcast, so base-relation joins (the baselines) keep the
+   generic shuffle join pipeline;
 3. with ``multi_output=True`` all views of a partition are computed via
    **one shared partial-aggregation pass**: the joined base is
    aggregated once, keyed by the *union* of the partition's group
@@ -29,7 +35,7 @@ DESIGN.md).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.aggregates import Query
@@ -53,31 +59,12 @@ class Engine:
     multi_output: compute all views of a group partition from one shared
         partial-aggregation pass (True, the paper's design) or one
         ``groupBy`` per view over the shared join (False, ablation).
-    cache_views: persist every materialized view (they are consumed by
-        several downstream groups and queries).
-    broadcast_views: hash-broadcast incoming views into the node
-        relation's scan. LMFAO's views are small pre-aggregated lookup
-        structures (in-memory hashmaps in the paper's generated C++);
-        a broadcast hash join is their Spark realization, so this is on
-        by default even though the session disables automatic broadcast
-        — note it applies ONLY to view joins, never to base-relation
-        joins (the baselines keep the generic shuffle join pipeline).
     """
 
-    def __init__(
-        self,
-        db: Database,
-        *,
-        multi_output: bool = True,
-        cache_views: bool = True,
-        broadcast_views: bool = True,
-    ):
+    def __init__(self, db: Database, *, multi_output: bool = True):
         self.db = db
         self.tree = db.tree
         self.multi_output = multi_output
-        self.cache_views = cache_views
-        self.broadcast_views = broadcast_views
-        self.spark: SparkSession = next(iter(db.frames.values())).sparkSession
         self.plan: Plan | None = None
         self.views: dict[ViewKey, DataFrame] = {}
         self._cached: list[DataFrame] = []
@@ -108,9 +95,8 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _cache(self, df: DataFrame) -> DataFrame:
-        if self.cache_views:
-            df = df.cache()
-            self._cached.append(df)
+        df = df.cache()
+        self._cached.append(df)
         return df
 
     def _compute_group(self, node: str, parent: str | None, vds: list[ViewDef]) -> None:
@@ -133,10 +119,7 @@ class Engine:
             base = self.db.df(node)
             for vk_ch in sorted(in_vks, key=lambda k: (k.node, sorted(k.ga))):
                 on = sorted(self.tree.join_attrs(vk_ch.node, node))
-                view = self.views[vk_ch]
-                if self.broadcast_views:
-                    view = F.broadcast(view)
-                base = base.join(view, on=on, how="inner")
+                base = base.join(F.broadcast(self.views[vk_ch]), on=on, how="inner")
             if len(part) > 1 and self.multi_output:
                 self._agg_multi_output(node, base, part)
             else:
@@ -154,12 +137,9 @@ class Engine:
         pre-aggregated column per child edge (multiplicity included)."""
         exprs = []
         for col, sp_sub in vd.cols.items():
-            local = [
-                f"({e})" for a, e in sp_sub.factors if self.tree.anchor(a) == node
-            ]
+            local = frozenset(a for a in sp_sub.attrs if self.tree.anchor(a) == node)
             kid_cols = [c for _, c in child_refs(self.tree, vd.key, sp_sub)]
-            prod = " * ".join(local + kid_cols) if (local or kid_cols) else "CAST(1.0 AS DOUBLE)"
-            exprs.append((col, f"SUM(CAST({prod} AS DOUBLE))"))
+            exprs.append((col, sp_sub.restrict(local).sum_sql(kid_cols)))
         return exprs
 
     def _agg_single(self, node: str, base: DataFrame, vd: ViewDef) -> DataFrame:

@@ -7,7 +7,7 @@ Used two ways:
   semantics, and
 * rendered for humans in tests/jobs.
 
-The join is a ``JOIN ... USING`` chain in the database's BFS join order;
+The join is a ``JOIN ... USING`` chain along the database's join chain;
 ``USING`` coalesces the shared columns so bare attribute names stay
 unambiguous (non-join attributes are globally unique by schema
 validation). Pushed-down selections are re-stated in ``WHERE``, so the
@@ -22,22 +22,15 @@ from repro.core.database import Database
 
 def join_clause(db: Database) -> str:
     """``FROM``-clause body realizing the natural join of the tree."""
-    order = db.join_order()
-    parts = [order[0]]
-    placed = {order[0]}
-    for name in order[1:]:
-        prev = next(p for p in placed if name in db.tree.neighbors(p))
-        on = ", ".join(sorted(db.tree.join_attrs(prev, name)))
-        parts.append(f"JOIN {name} USING ({on})")
-        placed.add(name)
-    return " ".join(parts)
+    (first, _), *rest = db.join_chain()
+    joins = [f"JOIN {name} USING ({', '.join(on)})" for name, on in rest]
+    return " ".join([first, *joins])
 
 
 def query_to_sql(db: Database, q: Query) -> str:
     """Flat SQL equivalent of ``q`` over ``db`` (including filters)."""
     sel = list(q.group_by)
-    for alias, sp in q.aggs:
-        sel.append(f"SUM(CAST({sp.product_sql()} AS DOUBLE)) AS {alias}")
+    sel += [f"{sp.sum_sql()} AS {alias}" for alias, sp in q.aggs]
     sql = f"SELECT {', '.join(sel)} FROM {join_clause(db)}"
     preds = [p for _, p in db.filters]
     if preds:

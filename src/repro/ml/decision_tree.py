@@ -49,6 +49,19 @@ def _sse(cnt: np.ndarray, s: np.ndarray, s2: np.ndarray) -> np.ndarray:
         return np.where(cnt > 0, s2 - s * s / np.maximum(cnt, 1e-300), 0.0)
 
 
+# Relative SSE difference below which two candidate splits tie. Ties break
+# toward the earlier value in sorted order, then toward the earlier feature
+# (the order of an exhaustive scan), so the chosen split never depends on
+# the row order of Spark's group-by results.
+_TIE_RTOL = 1e-9
+
+
+def _first_min(sse: np.ndarray) -> int:
+    """Index of the first score within the tie tolerance of the minimum."""
+    m = sse.min()
+    return int(np.argmax(sse <= m + _TIE_RTOL * abs(m)))
+
+
 @dataclass(frozen=True)
 class Split:
     """A chosen condition ``attr op value`` and its score."""
@@ -59,8 +72,12 @@ class Split:
     sse: float  # SSE_left + SSE_right after the split
 
     def predicates(self) -> tuple[str, str]:
-        """(true-branch, false-branch) SQL predicates for pushdown."""
-        v = f"'{self.value}'" if isinstance(self.value, str) else repr(self.value)
+        """(true-branch, false-branch) SQL predicates for pushdown. String
+        literals are quoted, with ``'`` escaped by doubling it."""
+        if isinstance(self.value, str):
+            v = "'" + self.value.replace("'", "''") + "'"
+        else:
+            v = repr(self.value)
         if self.op == "<=":
             return f"{self.attr} <= {v}", f"{self.attr} > {v}"
         return f"{self.attr} = {v}", f"{self.attr} <> {v}"
@@ -80,27 +97,22 @@ def best_split(
     node_sse = float(_sse(np.array([n]), np.array([s]), np.array([s2]))[0])
     best: Split | None = None
     for f in features:
-        g = results[f"dt_{f.attr}"]
+        g = results[f"dt_{f.attr}"].sort_values(f.attr)
         if len(g) < 2:
             continue
+        cnt, ss, ss2 = (g[c].to_numpy(float) for c in ("cnt", "s", "s2"))
         if f.categorical:
             # one-vs-rest equality splits
-            cnt, ss, ss2 = (g[c].to_numpy(float) for c in ("cnt", "s", "s2"))
+            op = "=="
             sse = _sse(cnt, ss, ss2) + _sse(n - cnt, s - ss, s2 - ss2)
-            i = int(np.argmin(sse))
-            cand = Split(f.attr, "==", g[f.attr].iloc[i], float(sse[i]))
         else:
-            g = g.sort_values(f.attr)
-            cnt = g["cnt"].to_numpy(float).cumsum()
-            ss = g["s"].to_numpy(float).cumsum()
-            ss2 = g["s2"].to_numpy(float).cumsum()
             # threshold at each distinct value but the last (<= v splits)
+            op = "<="
+            cnt, ss, ss2 = cnt.cumsum(), ss.cumsum(), ss2.cumsum()
             sse = (_sse(cnt, ss, ss2) + _sse(n - cnt, s - ss, s2 - ss2))[:-1]
-            if len(sse) == 0:
-                continue
-            i = int(np.argmin(sse))
-            cand = Split(f.attr, "<=", g[f.attr].iloc[i], float(sse[i]))
-        if best is None or cand.sse < best.sse:
+        i = _first_min(sse)
+        cand = Split(f.attr, op, g[f.attr].iloc[i], float(sse[i]))
+        if best is None or cand.sse < best.sse - _TIE_RTOL * abs(best.sse):
             best = cand
     return best, n, s / n, node_sse
 
@@ -137,14 +149,13 @@ def build_tree(
     max_depth: int = 3,
     min_leaf: float = 20,
     min_sse_gain: float = 1e-9,
-    multi_output: bool = True,
 ) -> TreeNode:
     """Greedy CART: at each node, run the aggregate batch over the
     path-filtered database, pick the best condition, recurse."""
     batch = node_batch(features, label)
 
     def grow(cur: Database, depth: int) -> TreeNode:
-        eng = Engine(cur, multi_output=multi_output)
+        eng = Engine(cur)
         results = {n: df.toPandas() for n, df in eng.run(batch).items()}
         eng.unpersist_all()
         split, n, mean, sse = best_split(results, features)

@@ -86,12 +86,11 @@ def rkmeans(
     *,
     k_dim: int | None = None,
     seed: int = 0,
-    multi_output: bool = True,
 ) -> RkmeansResult:
     """Run the full 4-step Rk-means over ``attrs`` of the join of ``db``."""
     k_dim = k_dim or k
     t0 = time.perf_counter()
-    eng = Engine(db, multi_output=multi_output)
+    eng = Engine(db)
     proj = {name: df.toPandas() for name, df in eng.run(projection_batch(attrs)).items()}
     eng.unpersist_all()
     t1 = time.perf_counter()
@@ -110,7 +109,7 @@ def rkmeans(
     t2 = time.perf_counter()
 
     ext = extend_with_assignments(db, assigns)
-    eng3 = Engine(ext, multi_output=multi_output)
+    eng3 = Engine(ext)
     grid = eng3.run([grid_query(attrs)])["grid"].toPandas()
     eng3.unpersist_all()
     t3 = time.perf_counter()

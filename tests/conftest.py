@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny databases and one engine/baseline run per corpus.
+"""Shared fixtures: one Spark session, tiny databases and one
+engine/baseline run per corpus.
 
 Each strategy executes its whole corpus batch once per session; the
 parametrized per-query tests then only collect + oracle-check single
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "jobs"))
 
+from _common import get_spark  # noqa: E402
 from corpus import FAVORITA_CORPUS, RETAILER_CORPUS, TPCH_CORPUS  # noqa: E402
 
 from repro.core.baseline import run_naive, run_shared_join  # noqa: E402
@@ -20,6 +23,14 @@ from repro.datasets import favorita_db, retailer_db, tpch_db  # noqa: E402
 TEST_SF_FAVORITA = 0.002
 TEST_SF_RETAILER = 0.002
 TEST_SF_TPCH = 0.005
+
+
+@pytest.fixture(scope="session")
+def spark():
+    """The jobs' Spark session, shared by the whole test session."""
+    s = get_spark("repro")
+    yield s
+    s.stop()
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +56,8 @@ def fav_results(fav_db):
 
 @pytest.fixture(scope="session")
 def fav_results_nomoo(fav_db):
-    """Ablation: engine without the multi-output grouping-sets pass."""
+    """Ablation: engine without the multi-output pass (partial aggregate
+    plus rollup): one ``groupBy`` per view instead."""
     return Engine(fav_db, multi_output=False).run(FAVORITA_CORPUS)
 
 

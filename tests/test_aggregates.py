@@ -13,17 +13,17 @@ def test_of_sorts_factors():
 def test_count_is_empty_product():
     c = SumProduct.count()
     assert c.factors == () and c.attrs == frozenset()
-    assert c.product_sql() == "CAST(1.0 AS DOUBLE)"
+    assert c.sum_sql() == "SUM(CAST(CAST(1.0 AS DOUBLE) AS DOUBLE))"
 
 
-def test_product_sql_single():
-    assert SumProduct.of(units="units").product_sql() == "(units)"
+def test_sum_sql_single():
+    assert SumProduct.of(units="units").sum_sql() == "SUM(CAST((units) AS DOUBLE))"
 
 
-def test_product_sql_multi_and_extra():
+def test_sum_sql_multi_and_extra():
     sp = SumProduct.of(a="a", b="(b + 1)")
-    assert sp.product_sql() == "(a) * ((b + 1))"
-    assert sp.product_sql(["v_col"]) == "(a) * ((b + 1)) * v_col"
+    assert sp.sum_sql() == "SUM(CAST((a) * ((b + 1)) AS DOUBLE))"
+    assert sp.sum_sql(["v_col"]) == "SUM(CAST((a) * ((b + 1)) * v_col AS DOUBLE))"
 
 
 def test_restrict_keeps_only_given_attrs():

@@ -20,17 +20,21 @@ def test_rejects_wrong_columns(spark, fav_db):
         Database(fav_db.tree, frames)
 
 
-def test_join_order_starts_at_fact(fav_db):
-    order = fav_db.join_order()
-    assert order[0] == "sales"
-    assert set(order) == set(fav_db.tree.nodes)
+def test_join_chain_starts_at_fact(fav_db):
+    chain = fav_db.join_chain()
+    assert chain[0] == ("sales", ())
+    assert {name for name, _ in chain} == set(fav_db.tree.nodes)
 
 
-def test_join_order_is_connected_prefixwise(fav_db):
-    order = fav_db.join_order()
-    placed = {order[0]}
-    for name in order[1:]:
-        assert any(name in fav_db.tree.neighbors(p) for p in placed)
+def test_join_chain_is_connected_prefixwise(fav_db):
+    (first, _), *rest = fav_db.join_chain()
+    placed = {first}
+    for name, on in rest:
+        assert any(
+            name in fav_db.tree.neighbors(p)
+            and set(on) == fav_db.tree.join_attrs(p, name)
+            for p in placed
+        )
         placed.add(name)
 
 

@@ -1,8 +1,12 @@
 """CART: node batches vs oracle, split search vs brute force, tree build."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.aggregates import Query, SumProduct
+from repro.core.database import Database
 from repro.core.executor import Engine
+from repro.core.schema import JoinTree, Relation
 from repro.core.sql_compile import query_to_sql
 from repro.ml.decision_tree import (
     Split,
@@ -95,6 +99,70 @@ def test_split_predicates_continuous():
 def test_split_predicates_categorical_quoted():
     s = Split("family", "==", "DAIRY", 0.0)
     assert s.predicates() == ("family = 'DAIRY'", "family <> 'DAIRY'")
+
+
+def test_split_predicates_escape_quotes():
+    s = Split("name", "==", "O'Brien", 0.0)
+    assert s.predicates() == ("name = 'O''Brien'", "name <> 'O''Brien'")
+
+
+def test_quoted_predicates_run_on_spark_and_oracle(spark):
+    """A value containing ``'`` pushed down as a CART path condition: the
+    engine (Spark) and the oracle (DuckDB) select the same rows."""
+    tree = JoinTree(
+        [Relation("facts", ("k", "y")), Relation("names", ("k", "name"))],
+        [("facts", "names")],
+    )
+    names = ["O'Brien", "OBrien", "O", "Brien"]
+    frames = {
+        "facts": spark.createDataFrame(
+            pd.DataFrame({"k": [0, 0, 1, 2, 3, 3], "y": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
+        ),
+        "names": spark.createDataFrame(pd.DataFrame({"k": [0, 1, 2, 3], "name": names})),
+    }
+    db = Database(tree, frames)
+    q = Query.make("q", ["name"], cnt=SumProduct.count(), s=SumProduct.of(y="y"))
+    hit, miss = Split("name", "==", "O'Brien", 0.0).predicates()
+    selected = []
+    for pred in (hit, miss):
+        fdb = db.with_filters([("name", pred)])
+        res = Engine(fdb).run([q])["q"]
+        assert_equivalent(res, query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
+        selected.append(sorted(r["name"] for r in res.collect()))
+    assert selected == [["O'Brien"], ["Brien", "O", "OBrien"]]
+
+
+def _binary_results(seed: int, order: list[int]) -> dict[str, pd.DataFrame]:
+    """Node results for two categorical features that both split the rows
+    into the same two halves, so ``rain == 0``, ``rain == 1``, ``wet == 0``
+    and ``wet == 1`` all tie; group-by rows come in ``order``."""
+    y = np.random.default_rng(seed).normal(10.0, 3.0, size=40) / 7.0
+    rain = np.arange(40) % 2
+    tot = pd.DataFrame({"cnt": [40.0], "s": [y.sum()], "s2": [(y * y).sum()]})
+    groups = pd.DataFrame(
+        {
+            "v": [0, 1],
+            "cnt": [float((rain == v).sum()) for v in (0, 1)],
+            "s": [y[rain == v].sum() for v in (0, 1)],
+            "s2": [(y[rain == v] ** 2).sum() for v in (0, 1)],
+        }
+    ).iloc[order]
+    return {
+        "dt_total": tot,
+        "dt_rain": groups.rename(columns={"v": "rain"}),
+        "dt_wet": groups.rename(columns={"v": "wet"}),
+    }
+
+
+# seed 3: the two SSEs are bit-identical; seed 37: rounding makes the
+# ``rain == 1`` SSE smaller in the last bit, so only the tolerance ties them.
+@pytest.mark.parametrize("seed", [3, 37])
+def test_best_split_tie_independent_of_row_order(seed):
+    feats = [Feature("rain", categorical=True), Feature("wet", categorical=True)]
+    fwd, _, _, _ = best_split(_binary_results(seed, [0, 1]), feats)
+    rev, _, _, _ = best_split(_binary_results(seed, [1, 0]), feats)
+    assert fwd == rev
+    assert (rev.attr, rev.op, rev.value) == ("rain", "==", 0)
 
 
 @pytest.fixture(scope="module")
