@@ -14,7 +14,16 @@ all merged views with the same ``(node, direction)``. For each group:
    the scan and cached, as several downstream groups and queries read
    them. Broadcast applies ONLY to view joins: the session disables
    automatic broadcast, so base-relation joins (the baselines) keep the
-   generic shuffle join pipeline;
+   generic shuffle join pipeline. Every cached view (and the partial
+   aggregate it is rolled up from) is stored as ONE partition: AQE does
+   not coalesce the shuffle partitions of a cached plan
+   (``spark.sql.optimizer.canChangeCachedPlanOutputPartitioning`` is off),
+   so each view would otherwise keep all 32 shuffle partitions and every
+   read of it would run 32 tasks -- 1,824 of the 1,925 tasks of the
+   Favorita LR batch at SF 0.002 on 4 cores. The cost is that the final
+   aggregation of each view runs as one task, which the view's size
+   bounds: an inner view is broadcast whole and an output view collected
+   whole anyway;
 3. with ``multi_output=True`` all views of a partition are computed via
    **one shared partial-aggregation pass**: the joined base is
    aggregated once, keyed by the *union* of the partition's group
@@ -26,7 +35,8 @@ all merged views with the same ``(node, direction)``. For each group:
    implements it with an Expand operator that *replicates every input
    row once per grouping set* — the opposite of single-pass sharing.)
    With ``multi_output=False`` each view runs its own ``groupBy`` over
-   the shared cached join (the ablation for Table T2).
+   the shared cached join (the ablation for Table T2). That join is
+   fact-table-sized, not a view, so it keeps its partitioning.
 
 Code generation: instead of emitting C++ specialized to the schema, we
 emit Spark SQL specialized to the schema and join tree and let Catalyst /
@@ -59,6 +69,9 @@ class Engine:
     multi_output: compute all views of a group partition from one shared
         partial-aggregation pass (True, the paper's design) or one
         ``groupBy`` per view over the shared join (False, ablation).
+
+    Used as a context manager (``with Engine(db) as eng:``), the engine
+    releases its cached views on leaving the block, also on error.
     """
 
     def __init__(self, db: Database, *, multi_output: bool = True):
@@ -88,16 +101,28 @@ class Engine:
         return results
 
     def unpersist_all(self) -> None:
-        """Release every cached view/intermediate (between benchmark runs)."""
+        """Release every cached view/intermediate (between benchmark runs).
+        Calling it again is a no-op."""
         for df in self._cached:
             df.unpersist()
         self._cached = []
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Release the cached views also when the block raised."""
+        self.unpersist_all()
 
     # ------------------------------------------------------------------
     def _cache(self, df: DataFrame) -> DataFrame:
         df = df.cache()
         self._cached.append(df)
         return df
+
+    def _cache_view(self, df: DataFrame) -> DataFrame:
+        """Cache a view as one partition (module docstring, step 2)."""
+        return self._cache(df.coalesce(1))
 
     def _compute_group(self, node: str, parent: str | None, vds: list[ViewDef]) -> None:
         children = sorted(self.tree.neighbors(node) - ({parent} if parent else set()))
@@ -126,7 +151,7 @@ class Engine:
                 if len(part) > 1:
                     base = self._cache(base)  # shared scan, multiple passes
                 for vd in part:
-                    self.views[vd.key] = self._cache(
+                    self.views[vd.key] = self._cache_view(
                         self._agg_single(node, base, vd)
                     )
 
@@ -158,7 +183,7 @@ class Engine:
             for vd in part
             for col, sql in self._agg_exprs(node, vd)
         ]
-        pre = self._cache(base.groupBy(*universe).agg(*pre_aggs))
+        pre = self._cache_view(base.groupBy(*universe).agg(*pre_aggs))
         for vd in part:
             rollup = [F.expr(f"SUM({col})").alias(col) for col in vd.cols]
             self.views[vd.key] = pre.groupBy(*sorted(vd.key.ga)).agg(*rollup)

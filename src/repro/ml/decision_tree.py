@@ -155,9 +155,9 @@ def build_tree(
     batch = node_batch(features, label)
 
     def grow(cur: Database, depth: int) -> TreeNode:
-        eng = Engine(cur)
-        results = {n: df.toPandas() for n, df in eng.run(batch).items()}
-        eng.unpersist_all()
+        with Engine(cur) as eng:
+            results = {n: df.toPandas() for n, df in eng.run(batch).items()}
+            eng.unpersist_all()
         split, n, mean, sse = best_split(results, features)
         node = TreeNode(prediction=mean, count=n, sse=sse)
         if (

@@ -90,9 +90,9 @@ def rkmeans(
     """Run the full 4-step Rk-means over ``attrs`` of the join of ``db``."""
     k_dim = k_dim or k
     t0 = time.perf_counter()
-    eng = Engine(db)
-    proj = {name: df.toPandas() for name, df in eng.run(projection_batch(attrs)).items()}
-    eng.unpersist_all()
+    with Engine(db) as eng:
+        proj = {name: df.toPandas() for name, df in eng.run(projection_batch(attrs)).items()}
+        eng.unpersist_all()
     t1 = time.perf_counter()
 
     dim_centroids: dict[str, np.ndarray] = {}
@@ -109,9 +109,9 @@ def rkmeans(
     t2 = time.perf_counter()
 
     ext = extend_with_assignments(db, assigns)
-    eng3 = Engine(ext)
-    grid = eng3.run([grid_query(attrs)])["grid"].toPandas()
-    eng3.unpersist_all()
+    with Engine(ext) as eng3:
+        grid = eng3.run([grid_query(attrs)])["grid"].toPandas()
+        eng3.unpersist_all()
     t3 = time.perf_counter()
 
     pts = np.column_stack(
