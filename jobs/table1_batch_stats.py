@@ -5,7 +5,9 @@ queries per decision-tree node over Retailer; n+1 queries for Rk-means.
 We report, for our synthetic twins: #queries in the batch, #effective
 aggregates (DT: thresholds x 3 derived from the group-by results), and
 the plan-shape numbers that quantify LMFAO's sharing (#merged views,
-#view groups, #aggregate columns, #distinct roots).
+#view groups, #passes, #aggregate columns, #distinct roots). A pass is
+one join of a node relation with its incoming views, shared by all views
+the multi-output layer computes from it.
 
 Run: ``spark-submit jobs/table1_batch_stats.py [sf]``
 """
@@ -32,6 +34,7 @@ def _plan_row(db, batch, app, dataset, effective=None):
         "effective_aggregates": effective if effective is not None else s["aggregates"],
         "merged_views": s["merged_views"],
         "view_groups": s["view_groups"],
+        "passes": len(plan.passes()),
         "view_columns": s["view_columns"],
         "roots": s["roots"],
     }
@@ -50,12 +53,11 @@ def main(spark, sf: float = 0.01) -> list[dict]:
 
         dt_feats = [f for f in feats if f.attr != label]
         batch = node_batch(dt_feats, label)
-        eng = Engine(db)
-        results = eng.run(batch)
-        # effective aggregates = (#candidate thresholds per feature) x 3,
-        # the counting behind the paper's "3,141 aggregates per node".
-        eff = 3 + sum(3 * results[q.name].count() for q in batch if q.group_by)
-        eng.unpersist_all()
+        with Engine(db) as eng:
+            results = eng.run(batch)
+            # effective aggregates = (#candidate thresholds per feature) x 3,
+            # the counting behind the paper's "3,141 aggregates per node".
+            eff = 3 + sum(3 * results[q.name].count() for q in batch if q.group_by)
         rows.append(_plan_row(db, batch, "decision tree (per node)", name, effective=eff))
 
         attrs = [f.attr for f in feats if not f.categorical]

@@ -8,7 +8,7 @@ own, and the multi-output pass adds further sharing. Strategies:
 * ``shared_join`` — materialize D once (cached), aggregate per query
 * ``lmfao_nomoo`` — LMFAO views, but one groupBy per view (ablation)
 * ``lmfao``       — full engine (merged views + multi-output passes: one
-  partial aggregate per view-group partition, then a rollup per view)
+  partial aggregate per pass, then a select or rollup per view)
 
 Run: ``spark-submit jobs/table2_runtime.py [sf]``
 """
@@ -30,24 +30,27 @@ def strategies(db):
     }
 
 
+def warm_inputs(db) -> None:
+    """Cache and materialize every input relation, so that every strategy
+    starts from the same warm inputs (generation and parallelize costs
+    excluded from the measurement). Whether a frame is cached is asked of
+    Spark (``storageLevel``): ``spark.catalog.clearCache()`` does not reset
+    the Python-side ``DataFrame.is_cached`` flag."""
+    for name in db.tree.nodes:
+        if not db.frames[name].storageLevel.useMemory:
+            db.frames[name] = db.frames[name].cache()
+        db.frames[name].count()
+
+
 def run_dataset(db, batch, dataset: str, include: tuple[str, ...] | None = None) -> list[dict]:
     from _common import force, timed
 
     spark = db.frames[db.tree.nodes[0]].sparkSession
-
-    def warm() -> None:
-        # identical warm-input state for every strategy (generation and
-        # parallelize costs excluded from the measurement)
-        for name in db.tree.nodes:
-            if not db.frames[name].is_cached:
-                db.frames[name] = db.frames[name].cache()
-            db.frames[name].count()
-
     rows = []
-    warm()
+    warm_inputs(db)
     force({"warmup": db.joined()})  # JVM/codegen warmup
     spark.catalog.clearCache()
-    warm()
+    warm_inputs(db)
     base = None
     strats = strategies(db)
     for name in include or tuple(strats):
@@ -65,7 +68,7 @@ def run_dataset(db, batch, dataset: str, include: tuple[str, ...] | None = None)
             }
         )
         spark.catalog.clearCache()
-        warm()
+        warm_inputs(db)
     return rows
 
 

@@ -19,33 +19,21 @@ import numpy as np
 from repro.core.executor import Engine
 from repro.datasets import favorita_db, retailer_db
 from repro.ml.decision_tree import best_split, build_tree, node_batch, predict
-from repro.ml.linreg import assemble_sigma, bgd, closed_form, sigma_batch
+from repro.ml.linreg import assemble_sigma, bgd, closed_form, ridge_objective, sigma_batch
 
 
 def lr_rows(db, features, label, dataset: str) -> list[dict]:
     from _common import timed
 
     batch = sigma_batch(features, label)
-    eng = Engine(db)
-    secs_batch, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
+    with Engine(db) as eng:
+        secs_batch, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
     sm = assemble_sigma(results, features)
     t0 = time.perf_counter()
     theta, losses = bgd(sm, label, epochs=300)
     secs_bgd = time.perf_counter() - t0
-    cf = closed_form(sm, label)
-
-    y = sm.slot(label)
-    keep = [i for i in range(sm.sigma.shape[0]) if i != y]
-    sxx, sxy = sm.sigma[np.ix_(keep, keep)], sm.sigma[keep, y]
-    reg = np.ones(len(keep))
-    reg[0] = 0
-
-    def j(t):
-        return (t @ sxx @ t - 2 * t @ sxy + sm.sigma[y, y]) / (2 * sm.count) + 1e-3 / 2 * (
-            reg * t * t
-        ).sum()
-
-    eng.unpersist_all()
+    j_bgd = ridge_objective(sm, label, theta)
+    j_cf = ridge_objective(sm, label, closed_form(sm, label))
     return [
         {
             "app": "linreg",
@@ -56,7 +44,7 @@ def lr_rows(db, features, label, dataset: str) -> list[dict]:
             "bgd_300_iter_seconds": secs_bgd,
             "loss_start": losses[0],
             "loss_end": losses[-1],
-            "obj_gap_vs_closed_form": (j(theta) - j(cf)) / j(cf),
+            "obj_gap_vs_closed_form": (j_bgd - j_cf) / j_cf,
         }
     ]
 
@@ -65,9 +53,8 @@ def dt_rows(db, features, label, d_pdf, dataset: str, max_depth: int = 2) -> lis
     from _common import timed
 
     batch = node_batch(features, label)
-    eng = Engine(db)
-    secs_node, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
-    eng.unpersist_all()
+    with Engine(db) as eng:
+        secs_node, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
     split, n, mean, sse = best_split(results, features)
 
     # exhaustive scan over materialized D (ground truth for the root split)

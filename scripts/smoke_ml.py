@@ -13,7 +13,7 @@ from _common import get_spark  # noqa: E402
 from repro.core.executor import Engine
 from repro.datasets import favorita_db
 from repro.ml.decision_tree import build_tree, predict
-from repro.ml.linreg import Feature, closed_form, sigma_batch, train_linreg
+from repro.ml.linreg import Feature, closed_form, ridge_objective, sigma_batch, train_linreg
 from repro.ml.rkmeans import lloyd_on_full_data, relative_approximation, rkmeans
 
 spark = get_spark("smoke-ml")
@@ -29,21 +29,10 @@ features = [
     Feature("family", categorical=True),
 ]
 print("LR batch size:", len(sigma_batch(features, "units")))
-theta, losses, sm = train_linreg(Engine(db), features, "units", epochs=300)
-cf = closed_form(sm, "units")
-
-
-def obj(sm, label, t, lam=1e-3):
-    y = sm.slot(label)
-    keep = [i for i in range(sm.sigma.shape[0]) if i != y]
-    sxx = sm.sigma[np.ix_(keep, keep)]
-    sxy = sm.sigma[keep, y]
-    n = sm.count
-    r = np.ones(len(keep)); r[0] = 0
-    return (t @ sxx @ t - 2 * t @ sxy + sm.sigma[y, y]) / (2 * n) + 1e-3 / 2 * np.sum(r * t * t)
-
-
-j_bgd, j_cf = obj(sm, "units", theta), obj(sm, "units", cf)
+with Engine(db) as eng:
+    theta, losses, sm = train_linreg(eng, features, "units", epochs=300)
+j_bgd = ridge_objective(sm, "units", theta)
+j_cf = ridge_objective(sm, "units", closed_form(sm, "units"))
 print("sigma dims:", sm.sigma.shape, "loss[0]->[-1]:", losses[0], "->", losses[-1])
 print(f"J(bgd)={j_bgd:.6f} J(closed form)={j_cf:.6f}")
 assert losses[-1] < losses[0]

@@ -21,6 +21,13 @@ what makes merging recursive and exact (DESIGN.md §1).
 A query's output is just the view at the "edge" ``(root, None)`` with
 ``ga = Q.group_by``; several queries with the same root and group-by
 share one output view.
+
+The plan is the executor's only input. Each merged view records its
+incoming views (one per child) and, per column, the finished ``SUM`` SQL:
+the factors anchored at the view's node times one column of each incoming
+view. :meth:`Plan.passes` lists the joins of a node relation with its
+incoming views; the executor runs one shared aggregation per pass
+(``core/executor.py``) and derives nothing itself.
 """
 from __future__ import annotations
 
@@ -45,12 +52,19 @@ class ViewKey:
 
 @dataclass
 class ViewDef:
-    """A merged view: its key plus deduplicated aggregate columns
-    (generated column name -> partial sum-product restricted to the
-    view's subtree)."""
+    """A merged view: its key, its incoming views (one per child of
+    ``key.node``, in sorted child order) and its deduplicated aggregate
+    columns (generated column name -> ``SUM`` SQL over ``key.node``'s
+    relation joined with ``inputs``)."""
 
     key: ViewKey
-    cols: dict[str, SumProduct] = field(default_factory=dict)
+    inputs: tuple[ViewKey, ...]
+    cols: dict[str, str] = field(default_factory=dict)
+
+
+# One join of a node relation with its incoming views, and the views
+# aggregated from it: (node, inputs, views).
+Pass = tuple[str, tuple[ViewKey, ...], list[ViewDef]]
 
 
 @dataclass(frozen=True)
@@ -64,32 +78,21 @@ class QueryOutput:
 
 
 def col_name(vk: ViewKey, sp: SumProduct) -> str:
-    """Deterministic column name for a partial aggregate in a view.
+    """Column name of a partial aggregate in a view.
 
-    Deterministic so the executor can *recompute* a child reference from
-    ``(child ViewKey, restricted SumProduct)`` without threading state.
+    Equal partial aggregates of one view get the same name, which is all
+    the hash is for: it merges them into one column. A parent view
+    references the name through the ``SUM`` SQL the planner records; the
+    executor never recomputes it.
     """
     return "a_" + short_hash(
         vk.node, vk.parent or "\x00", ",".join(sorted(vk.ga)), sp.signature
     )
 
 
-def child_ga(tree: JoinTree, node: str, parent: str | None, ga: frozenset[str], ch: str) -> frozenset[str]:
+def child_ga(tree: JoinTree, node: str, ga: frozenset[str], ch: str) -> frozenset[str]:
     """Group attrs of the incoming view from child ``ch`` of ``node``."""
     return tree.join_attrs(ch, node) | (ga & tree.subtree_attrs(ch, node))
-
-
-def child_refs(
-    tree: JoinTree, vk: ViewKey, sp: SumProduct
-) -> list[tuple[ViewKey, str]]:
-    """Incoming-view column references for one aggregate of view ``vk``:
-    one (child ViewKey, column name) per child of ``vk.node``."""
-    refs = []
-    for ch in sorted(tree.neighbors(vk.node) - ({vk.parent} if vk.parent else set())):
-        vk_ch = ViewKey(ch, vk.node, child_ga(tree, vk.node, vk.parent, vk.ga, ch))
-        sp_ch = sp.restrict(tree.anchored_attrs(ch, vk.node))
-        refs.append((vk_ch, col_name(vk_ch, sp_ch)))
-    return refs
 
 
 @dataclass
@@ -101,27 +104,28 @@ class Plan:
     outputs: dict[str, QueryOutput]
     roots: dict[str, str]
 
-    def topo_groups(self) -> list[tuple[str, str | None, list[ViewDef]]]:
-        """View groups ``(node, direction)`` in dependency order.
+    def passes(self) -> list[Pass]:
+        """The joins of a node relation with its incoming views, in
+        dependency order, with the views each one computes.
 
-        A view at ``(c, p)`` depends only on views at ``(ch, c)`` whose
+        The views of one view group ``(node, direction)`` share a pass
+        when they have the same inputs. Lookup inputs, keyed by the edge's
+        join attributes, never fan out; inputs that carry extra group-by
+        attributes do, so a view joins only the carrying views it reads.
+        A view at ``(c, p)`` depends only on views at ``(ch, c)``, whose
         subtree is strictly smaller, so ascending subtree size is a
         topological order; output views (whole tree) come last.
         """
-        groups: dict[tuple[str, str | None], list[ViewDef]] = {}
-        for vk, vd in self.views.items():
-            groups.setdefault((vk.node, vk.parent), []).append(vd)
+        groups: dict[tuple[str, str | None, tuple[ViewKey, ...]], list[ViewDef]] = {}
+        for vd in sorted(self.views.values(), key=lambda v: sorted(v.key.ga)):
+            groups.setdefault((vd.key.node, vd.key.parent, vd.inputs), []).append(vd)
 
-        def depth(k: tuple[str, str | None]) -> tuple[int, int, str, str]:
-            node, parent = k
+        def order(item):
+            (node, parent, _), vds = item
             size = len(self.tree.subtree_nodes(node, parent))
-            return (size, 0 if parent else 1, node, parent or "")
+            return (size, 0 if parent else 1, node, parent or "", [sorted(v.key.ga) for v in vds])
 
-        return [
-            (node, parent, sorted(vds, key=lambda v: sorted(v.key.ga)))
-            for (node, parent) in sorted(groups, key=depth)
-            for vds in [groups[(node, parent)]]
-        ]
+        return [(node, inputs, vds) for (node, _, inputs), vds in sorted(groups.items(), key=order)]
 
     def stats(self) -> dict[str, int]:
         """Plan-shape statistics reported in Table T1."""
@@ -151,14 +155,20 @@ def plan_batch(
     views: dict[ViewKey, ViewDef] = {}
 
     def require(node: str, parent: str | None, ga: frozenset[str], sp: SumProduct) -> str:
+        """Column of ``sp`` restricted to the subtree in view ``(node,
+        parent, ga)``; adds the view, the column and their inputs."""
         sp_sub = sp.restrict(tree.anchored_attrs(node, parent))
         vk = ViewKey(node, parent, ga)
         col = col_name(vk, sp_sub)
-        vd = views.setdefault(vk, ViewDef(vk))
+        vd = views.get(vk)
+        if vd is None:
+            children = sorted(tree.neighbors(node) - {parent})
+            inputs = tuple(ViewKey(ch, node, child_ga(tree, node, ga, ch)) for ch in children)
+            vd = views[vk] = ViewDef(vk, inputs)
         if col not in vd.cols:
-            vd.cols[col] = sp_sub
-            for ch in sorted(tree.neighbors(node) - ({parent} if parent else set())):
-                require(ch, node, child_ga(tree, node, parent, ga, ch), sp_sub)
+            local = frozenset(a for a in sp_sub.attrs if tree.anchor(a) == node)
+            kid_cols = [require(ch.node, node, ch.ga, sp_sub) for ch in vd.inputs]
+            vd.cols[col] = sp_sub.restrict(local).sum_sql(kid_cols)
         return col
 
     outputs: dict[str, QueryOutput] = {}

@@ -157,7 +157,6 @@ def build_tree(
     def grow(cur: Database, depth: int) -> TreeNode:
         with Engine(cur) as eng:
             results = {n: df.toPandas() for n, df in eng.run(batch).items()}
-            eng.unpersist_all()
         split, n, mean, sse = best_split(results, features)
         node = TreeNode(prediction=mean, count=n, sse=sse)
         if (

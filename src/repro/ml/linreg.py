@@ -151,6 +151,44 @@ def assemble_sigma(
     return SigmaMatrix(s, cnt, index, names)
 
 
+@dataclass(frozen=True)
+class SigmaSplit:
+    """Σ split at the label: the blocks the ridge objective reads.
+
+    ``reg`` is 1 for every parameter the ridge term penalizes and 0 for
+    the intercept.
+    """
+
+    sxx: np.ndarray
+    sxy: np.ndarray
+    syy: float
+    n: float
+    reg: np.ndarray
+
+    @staticmethod
+    def of(sm: SigmaMatrix, label: str) -> "SigmaSplit":
+        y = sm.slot(label)
+        keep = [i for i in range(sm.sigma.shape[0]) if i != y]
+        reg = np.ones(len(keep))
+        reg[0] = 0.0  # intercept
+        return SigmaSplit(
+            sm.sigma[np.ix_(keep, keep)], sm.sigma[keep, y], sm.sigma[y, y], max(sm.count, 1.0), reg
+        )
+
+    def objective(self, theta: np.ndarray, lam: float) -> float:
+        """J(θ) = (1/2N)(θᵀ Σxx θ - 2 θᵀ Σxy + yᵀy) + (λ/2)‖θ‖² (intercept
+        not regularized)."""
+        t = theta
+        quad = t @ self.sxx @ t - 2 * t @ self.sxy + self.syy
+        return float(quad / (2 * self.n) + lam / 2 * np.sum(self.reg * t * t))
+
+
+def ridge_objective(sm: SigmaMatrix, label: str, theta: np.ndarray, lam: float = 1e-3) -> float:
+    """The ridge least-squares objective that :func:`bgd` minimizes and
+    :func:`closed_form` solves, evaluated at ``theta``."""
+    return SigmaSplit.of(sm, label).objective(theta, lam)
+
+
 def bgd(
     sm: SigmaMatrix,
     label: str,
@@ -159,39 +197,27 @@ def bgd(
     epochs: int = 200,
     lr: float = 1.0,
 ) -> tuple[np.ndarray, list[float]]:
-    """Batch gradient descent on the ridge least-squares objective.
+    """Batch gradient descent on the ridge least-squares objective
+    (:func:`ridge_objective`).
 
-    Works entirely on Σ (no data pass per iteration, the paper's point):
-    J(θ) = (1/2N)(θᵀ Σxx θ - 2 θᵀ Σxy + yᵀy) + (λ/2)‖θ‖²
+    Works entirely on Σ (no data pass per iteration, the paper's point),
     with a diagonal preconditioner (equivalent to feature rescaling —
     raw feature scales like txns~4000 vs promo~1 make the plain Hessian
-    badly conditioned) and backtracking step-size halving. The intercept
-    is not regularized. Returns (θ, per-epoch losses).
+    badly conditioned) and backtracking step-size halving. Returns (θ,
+    per-epoch losses).
     """
-    y = sm.slot(label)
-    keep = [i for i in range(sm.sigma.shape[0]) if i != y]
-    sxx = sm.sigma[np.ix_(keep, keep)]
-    sxy = sm.sigma[keep, y]
-    syy = sm.sigma[y, y]
-    n = max(sm.count, 1.0)
-    reg = np.ones(len(keep))
-    reg[0] = 0.0  # intercept
-    precond = 1.0 / np.maximum(np.diag(sxx) / n + lam * reg, 1e-12)
+    sp = SigmaSplit.of(sm, label)
+    precond = 1.0 / np.maximum(np.diag(sp.sxx) / sp.n + lam * sp.reg, 1e-12)
 
-    def loss(t: np.ndarray) -> float:
-        return float(
-            (t @ sxx @ t - 2 * t @ sxy + syy) / (2 * n) + lam / 2 * np.sum(reg * t * t)
-        )
-
-    theta = np.zeros(len(keep))
-    losses = [loss(theta)]
+    theta = np.zeros(len(sp.sxy))
+    losses = [sp.objective(theta, lam)]
     step = lr
     for _ in range(epochs):
-        grad = (sxx @ theta - sxy) / n + lam * reg * theta
+        grad = (sp.sxx @ theta - sp.sxy) / sp.n + lam * sp.reg * theta
         direction = precond * grad
         while step > 1e-14:
             cand = theta - step * direction
-            l_cand = loss(cand)
+            l_cand = sp.objective(cand, lam)
             if l_cand <= losses[-1]:
                 theta, cur = cand, l_cand
                 step *= 1.2
@@ -205,14 +231,8 @@ def bgd(
 
 def closed_form(sm: SigmaMatrix, label: str, lam: float = 1e-3) -> np.ndarray:
     """Ridge normal-equations solution (test comparator for BGD)."""
-    y = sm.slot(label)
-    keep = [i for i in range(sm.sigma.shape[0]) if i != y]
-    sxx = sm.sigma[np.ix_(keep, keep)]
-    sxy = sm.sigma[keep, y]
-    n = max(sm.count, 1.0)
-    reg = np.eye(len(keep)) * lam
-    reg[0, 0] = 0.0
-    return np.linalg.solve(sxx / n + reg, sxy / n)
+    sp = SigmaSplit.of(sm, label)
+    return np.linalg.solve(sp.sxx / sp.n + lam * np.diag(sp.reg), sp.sxy / sp.n)
 
 
 def train_linreg(engine, features: list[Feature], label: str, **bgd_kw):

@@ -92,7 +92,6 @@ def rkmeans(
     t0 = time.perf_counter()
     with Engine(db) as eng:
         proj = {name: df.toPandas() for name, df in eng.run(projection_batch(attrs)).items()}
-        eng.unpersist_all()
     t1 = time.perf_counter()
 
     dim_centroids: dict[str, np.ndarray] = {}
@@ -111,7 +110,6 @@ def rkmeans(
     ext = extend_with_assignments(db, assigns)
     with Engine(ext) as eng3:
         grid = eng3.run([grid_query(attrs)])["grid"].toPandas()
-        eng3.unpersist_all()
     t3 = time.perf_counter()
 
     pts = np.column_stack(

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets import favorita_db
+
 sys.path.insert(0, str(Path(__file__).parent.parent / "jobs"))
 
 import table1_batch_stats  # noqa: E402
@@ -54,6 +56,17 @@ def test_table2_runs_and_strategies_agree_on_shape(spark):
     # every strategy produced the same total number of result rows
     for ds, counts in by_ds.items():
         assert len(counts) == 1, (ds, counts)
+
+
+def test_table2_warm_inputs_recache_after_clear_cache(spark):
+    """``clearCache()`` leaves ``DataFrame.is_cached`` set, so the warm-up
+    must ask Spark whether an input is still cached."""
+    db = favorita_db(spark, sf=0.002, seed=5)
+    table2_runtime.warm_inputs(db)
+    spark.catalog.clearCache()
+    table2_runtime.warm_inputs(db)
+    for name in db.tree.nodes:
+        assert db.frames[name].storageLevel.useMemory, name
 
 
 def test_table3_runs(spark):

@@ -10,6 +10,7 @@ from repro.ml.linreg import (
     assemble_sigma,
     bgd,
     closed_form,
+    ridge_objective,
     sigma_batch,
     train_linreg,
 )
@@ -123,6 +124,9 @@ def test_bgd_approaches_closed_form(sm):
         return (t @ sxx @ t - 2 * t @ sxy + sm.sigma[y, y]) / (2 * n) + 1e-3 / 2 * (r * t * t).sum()
 
     assert j(theta) <= j(cf) * 1.02 + 1e-9
+    # the library's objective is the one checked here
+    for t in (theta, cf):
+        assert ridge_objective(sm, LABEL, t) == pytest.approx(j(t), rel=1e-12)
 
 
 def test_closed_form_beats_mean_predictor(sm, fav_d):

@@ -1,9 +1,12 @@
 """View generation and merging: structure of the plans (paper §2)."""
+import re
+
 import pytest
 
+from corpus import FAVORITA_CORPUS, RETAILER_CORPUS, TPCH_CORPUS
 from repro.core.aggregates import Query, SumProduct
-from repro.core.planner import ViewKey, child_ga, child_refs, plan_batch
-from repro.datasets import favorita_tree
+from repro.core.planner import ViewKey, child_ga, plan_batch
+from repro.datasets import favorita_tree, retailer_tree, tpch_tree
 
 
 @pytest.fixture(scope="module")
@@ -71,20 +74,26 @@ def test_carrying_view_group_attrs(tree):
 
 def test_child_ga_formula(tree):
     ga = frozenset({"city", "date", "store"})
-    assert child_ga(tree, "transactions", "sales", ga, "stores") == {"store", "city"}
+    assert child_ga(tree, "transactions", ga, "stores") == {"store", "city"}
     ga2 = frozenset({"iclass"})
-    assert child_ga(tree, "sales", None, ga2, "items") == {"item", "iclass"}
-    assert child_ga(tree, "sales", None, ga2, "oil") == {"date"}
+    assert child_ga(tree, "sales", ga2, "items") == {"item", "iclass"}
+    assert child_ga(tree, "sales", ga2, "oil") == {"date"}
 
 
-def test_child_refs_cover_all_children(tree):
+def _input_cols(sql: str) -> list[str]:
+    """The incoming-view columns a view's SUM SQL references, in order."""
+    return re.findall(r"\ba_[0-9a-f]{10}\b", sql)
+
+
+def test_inputs_cover_all_children(tree):
     q = Query.make("q", [], v=SumProduct.of(units="units"))
     plan = plan_batch(tree, [q], roots={"q": "sales"})
     out = plan.views[ViewKey("sales", None, frozenset())]
-    (col, sp), = out.cols.items()
-    refs = child_refs(tree, ViewKey("sales", None, frozenset()), sp)
-    assert [vk.node for vk, _ in refs] == ["holidays", "items", "oil", "transactions"]
-    for vk, c in refs:
+    (sql,) = out.cols.values()
+    assert [vk.node for vk in out.inputs] == ["holidays", "items", "oil", "transactions"]
+    refs = _input_cols(sql)
+    assert len(refs) == len(out.inputs)
+    for vk, c in zip(out.inputs, refs):
         assert c in plan.views[vk].cols
 
 
@@ -96,9 +105,9 @@ def test_output_views_merge_same_root_and_gb(tree):
     assert plan.stats()["output_views"] == 1
 
 
-def test_topo_groups_order(tree):
+def test_passes_order(tree):
     plan = plan_batch(tree, paper_batch())
-    order = [(n, p) for n, p, _ in plan.topo_groups()]
+    order = [(n, vds[0].key.parent) for n, _, vds in plan.passes()]
     pos = {k: i for i, k in enumerate(order)}
     # every view comes after all views of its children
     assert pos[("stores", "transactions")] < pos[("transactions", "sales")]
@@ -144,3 +153,35 @@ def test_two_roots_reuse_shared_direction_views(tree):
     inner = [vk for vk in plan.views if vk.parent is not None]
     # edges toward sales: 5 (shared), plus sales->items for qb = 6
     assert len(inner) == 6
+
+
+@pytest.mark.parametrize(
+    "tree_fn, corpus",
+    [(favorita_tree, FAVORITA_CORPUS), (retailer_tree, RETAILER_CORPUS), (tpch_tree, TPCH_CORPUS)],
+    ids=["favorita", "retailer", "tpch"],
+)
+def test_plan_is_self_contained(tree_fn, corpus):
+    """The executor reads only the plan: every input a view names is a
+    view of the plan, holds every column the view's SQL reads from it, and
+    is computed by an earlier pass."""
+    plan = plan_batch(tree_fn(), corpus)
+    passes = plan.passes()
+    pass_of = {vd.key: i for i, (_, _, vds) in enumerate(passes) for vd in vds}
+    # every view is computed by exactly one pass
+    assert sum(len(vds) for _, _, vds in passes) == len(pass_of) == len(plan.views)
+    seen: dict[tuple[str, str | None], set] = {}
+    for i, (node, inputs, vds) in enumerate(passes):
+        assert {(vd.key.node, vd.key.parent) for vd in vds} == {(node, vds[0].key.parent)}
+        assert all(vd.inputs == inputs for vd in vds)
+        group = seen.setdefault((node, vds[0].key.parent), set())
+        assert inputs not in group
+        group.add(inputs)
+        for vk in inputs:
+            assert vk in plan.views
+            assert pass_of[vk] < i
+        for vd in vds:
+            for sql in vd.cols.values():
+                refs = _input_cols(sql)
+                assert len(refs) == len(inputs)
+                for vk, c in zip(inputs, refs):
+                    assert c in plan.views[vk].cols
