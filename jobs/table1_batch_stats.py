@@ -7,7 +7,10 @@ aggregates (DT: thresholds x 3 derived from the group-by results), and
 the plan-shape numbers that quantify LMFAO's sharing (#merged views,
 #view groups, #passes, #aggregate columns, #distinct roots). A pass is
 one join of a node relation with its incoming views, shared by all views
-the multi-output layer computes from it.
+the multi-output layer computes from it. ``levels`` is the longest chain
+of passes each of which reads a view of the one before: the engine runs
+independent passes at the same time, so passes / levels bounds the task
+parallelism a batch offers.
 
 Run: ``spark-submit jobs/table1_batch_stats.py [sf]``
 """
@@ -24,6 +27,15 @@ from repro.ml.linreg import favorita_features, retailer_features, sigma_batch
 from repro.ml.rkmeans import projection_batch
 
 
+def levels(plan) -> int:
+    """Length of the longest chain of dependent passes of ``plan``."""
+    level = {}
+    for _, inputs, vds in plan.passes():  # dependency order
+        n = 1 + max((level[vk] for vk in inputs), default=0)
+        level.update((vd.key, n) for vd in vds)
+    return max(level.values(), default=0)
+
+
 def _plan_row(db, batch, app, dataset, effective=None):
     plan = plan_batch(db.tree, batch, assign_roots(db.tree, batch))
     s = plan.stats()
@@ -35,6 +47,7 @@ def _plan_row(db, batch, app, dataset, effective=None):
         "merged_views": s["merged_views"],
         "view_groups": s["view_groups"],
         "passes": len(plan.passes()),
+        "levels": levels(plan),
         "view_columns": s["view_columns"],
         "roots": s["roots"],
     }

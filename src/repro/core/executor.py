@@ -1,40 +1,39 @@
 """Multi-output execution of a view plan on Spark (paper layers 3–5).
 
 The executor only runs the plan; every view's inputs and SQL come from the
-planner. It follows ``plan.passes()``, in dependency order. For each pass:
+planner. It runs ``plan.passes()`` eagerly, with task parallelism: the
+passes are submitted in plan order (a topological order) to a FIFO thread
+pool with one worker per Spark core, and each pass first waits for the
+passes that produce its inputs, so independent passes run at the same
+time. The first failing pass cancels the queued ones and ``run`` re-raises
+its exception. For each pass:
 
 1. the node's relation is joined once with the pass's incoming views (the
    shared scan of the Multi-Output Optimization layer). Views are small
    pre-aggregated lookup structures (in-memory hashmaps in the paper's
-   generated C++), so they are always hash-broadcast into the scan and
-   cached, as several downstream passes and queries read them. Broadcast
-   applies ONLY to view joins: the session disables automatic broadcast,
-   so base-relation joins (the baselines) keep the generic shuffle join
-   pipeline. Every cached view (and the partial aggregate it is read
-   from) is stored as ONE partition: AQE does not coalesce the shuffle
-   partitions of a cached plan
-   (``spark.sql.optimizer.canChangeCachedPlanOutputPartitioning`` is off),
-   so each view would otherwise keep all 32 shuffle partitions and every
-   read of it would run 32 tasks -- 1,824 of the 1,925 tasks of the
-   Favorita LR batch at SF 0.002 on 4 cores. The cost is that the final
-   aggregation of each view runs as one task, which the view's size
-   bounds: an inner view is broadcast whole and an output view collected
-   whole anyway;
+   generated C++), so every view is held on the driver as an Arrow-backed
+   local relation and hash-broadcast into the scan. A downstream pass,
+   and every query result (a ``select`` of its output view), then plans
+   over a leaf instead of the nested lineage of every upstream view.
+   Broadcast applies ONLY to view joins: the session disables automatic
+   broadcast, so base-relation joins (the baselines) keep the generic
+   shuffle join pipeline;
 2. with ``multi_output=True`` all views of the pass are computed via
    **one shared partial aggregation**: the joined base is
    aggregated once, keyed by the *union* of the pass's group attributes
-   and carrying every aggregate column, and cached. A view grouped by
-   the whole union is a ``select`` of that partial aggregate; every
-   other view is a cheap rollup of it. This is the Spark analogue of
-   LMFAO's multi-output plans (Fig. 3): the partial aggregate plays the
-   role of the shared running sums (β's) that every output reads. (SQL
-   ``GROUPING SETS`` would be the obvious alternative, but Spark
-   implements it with an Expand operator that *replicates every input
-   row once per grouping set* — the opposite of single-pass sharing.)
-   With ``multi_output=False`` each view runs its own ``groupBy`` over
-   the joined base, cached when the pass has several views (the
-   ablation for Table T2). That join is fact-table-sized, not a view, so
-   it keeps its partitioning.
+   and carrying every aggregate column, and collected to the driver. A
+   view grouped by the whole union is a ``select`` of that partial
+   aggregate; every other view is a cheap rollup of it, collected in
+   turn. This is the Spark analogue of LMFAO's multi-output plans
+   (Fig. 3): the partial aggregate plays the role of the shared running
+   sums (β's) that every output reads. (SQL ``GROUPING SETS`` would be the
+   obvious alternative, but Spark implements it with an Expand operator
+   that *replicates every input row once per grouping set* — the
+   opposite of single-pass sharing.) With ``multi_output=False`` each
+   view runs its own ``groupBy`` over the joined base, which is cached
+   when the pass has several views (the ablation for Table T2). That
+   join is fact-table-sized, not a view, so it stays in Spark storage
+   with its relation's partitioning until the engine is released.
 
 Code generation: instead of emitting C++ specialized to the schema, we
 emit Spark SQL specialized to the schema and join tree and let Catalyst /
@@ -43,6 +42,9 @@ DESIGN.md).
 """
 from __future__ import annotations
 
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
+
+from pyspark import inheritable_thread_target
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -62,7 +64,9 @@ class Engine:
         ``groupBy`` per view over the shared join (False, ablation).
 
     Used as a context manager (``with Engine(db) as eng:``), the engine
-    releases its cached views on leaving the block, also on error.
+    releases the shared joins the ``multi_output=False`` ablation caches
+    on leaving the block, also on error. Views live on the driver and go
+    with the engine's frames.
     """
 
     def __init__(self, db: Database, *, multi_output: bool = True):
@@ -76,22 +80,30 @@ class Engine:
     # ------------------------------------------------------------------
     def run(self, queries: list[Query], roots: dict[str, str] | None = None) -> dict[str, DataFrame]:
         """Plan and execute a batch; returns query name -> result frame
-        (columns: the query's group-by attrs + its aggregate aliases)."""
+        (columns: the query's group-by attrs + its aggregate aliases).
+        Every view is computed before ``run`` returns."""
         plan = plan_batch(self.tree, queries, roots)
         self.plan = plan
         self.views = {}
-        for node, inputs, vds in plan.passes():
-            base = self.db.df(node)
-            for vk in inputs:
-                on = sorted(self.tree.join_attrs(vk.node, node))
-                base = base.join(F.broadcast(self.views[vk]), on=on, how="inner")
-            if self.multi_output:
-                self._multi_output(base, vds)
-            else:
-                if len(vds) > 1:
-                    base = self._cache(base)  # shared scan, one groupBy per view
-                for vd in vds:
-                    self.views[vd.key] = self._cache_view(self._agg(base, vd.key.ga, [vd]))
+        spark = self.db.frames[self.tree.nodes[0]].sparkSession
+        producer: dict[ViewKey, Future] = {}
+        futures: list[Future] = []
+        pool = ThreadPoolExecutor(spark.sparkContext.defaultParallelism)
+        try:
+            for node, inputs, vds in plan.passes():
+                # Wrapped per pass: each pass gets its own copy of the
+                # caller's Spark local properties (job group included).
+                target = inheritable_thread_target(spark)(self._pass)
+                deps = [producer[vk] for vk in inputs]
+                f = pool.submit(target, deps, node, inputs, vds)
+                producer.update((vd.key, f) for vd in vds)
+                futures.append(f)
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)  # waits for the running passes
+        for f in futures:
+            if not f.cancelled():
+                f.result()  # re-raises the first failure in plan order
         results: dict[str, DataFrame] = {}
         for q in queries:
             out = plan.outputs[q.name]
@@ -102,7 +114,7 @@ class Engine:
         return results
 
     def unpersist_all(self) -> None:
-        """Release every cached view/intermediate (between benchmark runs).
+        """Release every cached shared join (between benchmark runs).
         Calling it again is a no-op."""
         for df in self._cached:
             df.unpersist()
@@ -112,18 +124,36 @@ class Engine:
         return self
 
     def __exit__(self, *exc) -> None:
-        """Release the cached views also when the block raised."""
+        """Release the cached shared joins also when the block raised."""
         self.unpersist_all()
 
     # ------------------------------------------------------------------
-    def _cache(self, df: DataFrame) -> DataFrame:
-        df = df.cache()
-        self._cached.append(df)
-        return df
+    def _pass(
+        self, deps: list[Future], node: str, inputs: tuple[ViewKey, ...], vds: list[ViewDef]
+    ) -> None:
+        """Join ``node``'s relation with its incoming views, once the
+        passes in ``deps`` produced them, and compute the views ``vds``."""
+        for f in deps:
+            f.result()
+        base = self.db.df(node)
+        for vk in inputs:
+            on = sorted(self.tree.join_attrs(vk.node, node))
+            base = base.join(F.broadcast(self.views[vk]), on=on, how="inner")
+        if self.multi_output:
+            self._multi_output(base, vds)
+            return
+        if len(vds) > 1:
+            base = base.cache()  # shared scan, one groupBy per view
+            self._cached.append(base)
+        for vd in vds:
+            self.views[vd.key] = self._local(self._agg(base, vd.key.ga, [vd]))
 
-    def _cache_view(self, df: DataFrame) -> DataFrame:
-        """Cache a view as one partition (module docstring, step 1)."""
-        return self._cache(df.coalesce(1))
+    @staticmethod
+    def _local(df: DataFrame) -> DataFrame:
+        """Compute ``df`` and hold it on the driver as an Arrow-backed local
+        relation (module docstring, step 1). The Spark schema is passed
+        along, so types and nullability stay exactly those of ``df``."""
+        return df.sparkSession.createDataFrame(df.toArrow(), schema=df.schema)
 
     @staticmethod
     def _agg(base: DataFrame, ga: frozenset[str], vds: list[ViewDef]) -> DataFrame:
@@ -138,11 +168,11 @@ class Engine:
         each view off the partial aggregate. Correct because every
         aggregate is a SUM, which is decomposable over the finer grouping."""
         universe = frozenset().union(*(vd.key.ga for vd in vds))
-        pre = self._cache_view(self._agg(base, universe, vds))
+        pre = self._local(self._agg(base, universe, vds))
         for vd in vds:
             gb = sorted(vd.key.ga)
             if vd.key.ga == universe:
                 self.views[vd.key] = pre.select(*gb, *vd.cols)
             else:
                 rollup = [F.expr(f"SUM({col})").alias(col) for col in vd.cols]
-                self.views[vd.key] = pre.groupBy(*gb).agg(*rollup)
+                self.views[vd.key] = self._local(pre.groupBy(*gb).agg(*rollup))

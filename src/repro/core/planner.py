@@ -31,6 +31,7 @@ incoming views; the executor runs one shared aggregation per pass
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.core.aggregates import Query, SumProduct, short_hash
@@ -75,6 +76,18 @@ class QueryOutput:
     view: ViewKey
     group_by: tuple[str, ...]
     cols: tuple[tuple[str, str], ...]  # (alias, generated column name)
+
+
+# A single-quoted SQL string literal (matched, so that the words inside it
+# are skipped) or an identifier (group 1).
+_SQL_TOKEN = re.compile(r"'(?:[^']|'')*'|([A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _foreign_attrs(tree: JoinTree, attr: str, sql: str) -> list[str]:
+    """Attributes of ``tree`` other than ``attr`` that the factor SQL
+    ``sql`` on ``attr`` mentions, outside string literals, sorted."""
+    words = {m.group(1) for m in _SQL_TOKEN.finditer(sql)}
+    return sorted((words & tree.all_attrs) - {attr})
 
 
 def col_name(vk: ViewKey, sp: SumProduct) -> str:
@@ -147,7 +160,11 @@ def plan_batch(
     queries: list[Query],
     roots: dict[str, str] | None = None,
 ) -> Plan:
-    """Decompose and merge a batch of queries into a view plan."""
+    """Decompose and merge a batch of queries into a view plan.
+
+    Raises ``ValueError`` for duplicate query names, unknown attributes
+    and factors that mention a tree attribute other than their own, so
+    bad input fails here rather than inside a Spark job."""
     names = [q.name for q in queries]
     if len(set(names)) != len(names):
         raise ValueError("duplicate query names in batch")
@@ -176,6 +193,14 @@ def plan_batch(
         unknown = q.attrs - tree.all_attrs
         if unknown:
             raise ValueError(f"query {q.name} uses unknown attributes {sorted(unknown)}")
+        for _, sp in q.aggs:
+            for attr, sql in sp.factors:
+                foreign = _foreign_attrs(tree, attr, sql)
+                if foreign:
+                    raise ValueError(
+                        f"query {q.name}: the factor on {attr} ({sql!r}) mentions "
+                        f"{', '.join(foreign)}; a factor may mention only its own attribute"
+                    )
         r = roots[q.name]
         ga = frozenset(q.group_by)
         cols = tuple((alias, require(r, None, ga, sp)) for alias, sp in q.aggs)

@@ -39,20 +39,18 @@ def test_result_schema(fav_results):
 def test_single_query_run(fav_db):
     """A fresh engine on a 1-query batch (no sharing) is still correct."""
     q = FAVORITA_CORPUS[2]
-    eng = Engine(fav_db)
-    res = eng.run([q])
-    assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
-    eng.unpersist_all()
+    with Engine(fav_db) as eng:
+        res = eng.run([q])
+        assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
 
 
 def test_forced_bad_root_still_correct(fav_db):
     """Correctness must not depend on the root heuristic: root q3 at the
     far end of the tree and check the carried views still aggregate right."""
     q = FAVORITA_CORPUS[2]  # group by iclass
-    eng = Engine(fav_db)
-    res = eng.run([q], roots={q.name: "stores"})
-    assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
-    eng.unpersist_all()
+    with Engine(fav_db) as eng:
+        res = eng.run([q], roots={q.name: "stores"})
+        assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
 
 
 @pytest.mark.parametrize("root", ["sales", "items", "oil", "stores"])
@@ -60,7 +58,6 @@ def test_every_root_gives_same_answer(fav_db, root):
     from repro.core.aggregates import Query, SumProduct
 
     q = Query.make("q", ["family"], v=SumProduct.of(units="units", txns="txns"))
-    eng = Engine(fav_db)
-    res = eng.run([q], roots={"q": root})
-    assert_equivalent(res["q"], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
-    eng.unpersist_all()
+    with Engine(fav_db) as eng:
+        res = eng.run([q], roots={"q": root})
+        assert_equivalent(res["q"], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())

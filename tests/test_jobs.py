@@ -47,6 +47,23 @@ def test_table1_views_fewer_than_naive(t1):
             assert r["merged_views"] < r["queries"]
 
 
+def test_table1_levels():
+    """One query rooted at items waits on the chain stores -> transactions
+    -> sales -> items; the other leaves run beside it."""
+    from repro.core.aggregates import Query, SumProduct
+    from repro.core.planner import plan_batch
+    from repro.datasets import favorita_tree
+
+    q = Query.make("q", ["iclass"], v=SumProduct.of(units="units"))
+    plan = plan_batch(favorita_tree(), [q], roots={"q": "items"})
+    assert (len(plan.passes()), table1_batch_stats.levels(plan)) == (6, 4)
+
+
+def test_table1_levels_bounded_by_passes(t1):
+    for r in t1:
+        assert 1 <= r["levels"] <= r["passes"]
+
+
 def test_table2_runs_and_strategies_agree_on_shape(spark):
     rows = table2_runtime.main(spark, sf=0.002)
     assert len(rows) == 12  # 4 strategies x 2 datasets + 2x2 fan-out sweep (T2b)

@@ -137,6 +137,20 @@ def test_rejects_unknown_attribute(tree):
         plan_batch(tree, [q])
 
 
+def test_rejects_factor_on_another_attribute(tree):
+    """A factor may mention only its own attribute; otherwise its SQL
+    would fail inside a Spark job of whichever pass evaluates it."""
+    ok = Query.make("ok", [], v=SumProduct.of(units="units"))
+    bad = Query.make("bad", [], v=SumProduct.of(units="(units * txns)"))
+    with pytest.raises(ValueError, match=r"query bad: the factor on units .* mentions txns"):
+        plan_batch(tree, [ok, bad])
+
+
+def test_factor_string_literal_is_not_an_attribute(tree):
+    q = Query.make("q", [], v=SumProduct.of(family="CASE WHEN family = 'store' THEN 1 END"))
+    assert plan_batch(tree, [q]).outputs["q"]
+
+
 def test_single_query_view_count_matches_edges(tree):
     """One query decomposes into exactly one view per edge (paper §2)."""
     q = Query.make("q", [], v=SumProduct.of(units="units"))

@@ -45,9 +45,6 @@ def queries(draw):
 )
 @given(q=queries())
 def test_random_query_matches_oracle(fav_db, q):
-    eng = Engine(fav_db)
-    try:
+    with Engine(fav_db) as eng:
         res = eng.run([q])
         assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
-    finally:
-        eng.unpersist_all()
