@@ -10,7 +10,9 @@ one join of a node relation with its incoming views, shared by all views
 the multi-output layer computes from it. ``levels`` is the longest chain
 of passes each of which reads a view of the one before: the engine runs
 independent passes at the same time, so passes / levels bounds the task
-parallelism a batch offers.
+parallelism a batch offers. ``rollups`` counts the views grouped by less
+than the union of their pass: the engine derives them on the driver from
+the pass's partial aggregate, without a Spark query of their own.
 
 Run: ``spark-submit jobs/table1_batch_stats.py [sf]``
 """
@@ -36,6 +38,15 @@ def levels(plan) -> int:
     return max(level.values(), default=0)
 
 
+def rollups(plan) -> int:
+    """Views of ``plan`` whose group-by is not the union of their pass's."""
+    n = 0
+    for _, _, vds in plan.passes():
+        universe = frozenset().union(*(vd.key.ga for vd in vds))
+        n += sum(vd.key.ga != universe for vd in vds)
+    return n
+
+
 def _plan_row(db, batch, app, dataset, effective=None):
     plan = plan_batch(db.tree, batch, assign_roots(db.tree, batch))
     s = plan.stats()
@@ -48,6 +59,7 @@ def _plan_row(db, batch, app, dataset, effective=None):
         "view_groups": s["view_groups"],
         "passes": len(plan.passes()),
         "levels": levels(plan),
+        "rollups": rollups(plan),
         "view_columns": s["view_columns"],
         "roots": s["roots"],
     }

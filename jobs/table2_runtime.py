@@ -8,7 +8,8 @@ own, and the multi-output pass adds further sharing. Strategies:
 * ``shared_join`` — materialize D once (cached), aggregate per query
 * ``lmfao_nomoo`` — LMFAO views, but one groupBy per view (ablation)
 * ``lmfao``       — full engine (merged views + multi-output passes: one
-  partial aggregate per pass, then a select or rollup per view)
+  partial aggregate per pass, then a select or rollup per view on the
+  driver)
 
 Run: ``spark-submit jobs/table2_runtime.py [sf]``
 """

@@ -19,34 +19,41 @@ its exception. For each pass:
    broadcast, so base-relation joins (the baselines) keep the generic
    shuffle join pipeline;
 2. with ``multi_output=True`` all views of the pass are computed via
-   **one shared partial aggregation**: the joined base is
-   aggregated once, keyed by the *union* of the pass's group attributes
-   and carrying every aggregate column, and collected to the driver. A
-   view grouped by the whole union is a ``select`` of that partial
-   aggregate; every other view is a cheap rollup of it, collected in
-   turn. This is the Spark analogue of LMFAO's multi-output plans
-   (Fig. 3): the partial aggregate plays the role of the shared running
-   sums (β's) that every output reads. (SQL ``GROUPING SETS`` would be the
-   obvious alternative, but Spark implements it with an Expand operator
-   that *replicates every input row once per grouping set* — the
-   opposite of single-pass sharing.) With ``multi_output=False`` each
-   view runs its own ``groupBy`` over the joined base, which is cached
-   when the pass has several views (the ablation for Table T2). That
-   join is fact-table-sized, not a view, so it stays in Spark storage
-   with its relation's partitioning until the engine is released.
+   **one shared partial aggregation**, the pass's only Spark query: the
+   joined base is aggregated once, keyed by the *union* of the pass's
+   group attributes and carrying every aggregate column, and collected
+   to the driver as one Arrow table. Every view is then derived from that
+   table on the driver: a view grouped by the whole union is a column
+   ``select`` of it, every other view a pyarrow ``group_by``/``sum``
+   rollup of it (null keys form one group and an all-null group sums to
+   null, as in Spark's ``SUM``; an empty table rolls up to one null row
+   under ``GROUP BY ()``). This is the Spark analogue of LMFAO's
+   multi-output plans (Fig. 3): the partial aggregate plays the role of
+   the shared running sums (β's) that every output reads. (SQL
+   ``GROUPING SETS`` would be the obvious alternative, but Spark
+   implements it with an Expand operator that *replicates every input
+   row once per grouping set* — the opposite of single-pass sharing.)
+   With ``multi_output=False`` each view runs its own ``groupBy`` over
+   the joined base, which is cached when the pass has several views (the
+   ablation for Table T2). That join is fact-table-sized, not a view, so
+   it stays in Spark storage with its relation's partitioning until the
+   engine is released.
 
 Code generation: instead of emitting C++ specialized to the schema, we
 emit Spark SQL specialized to the schema and join tree and let Catalyst /
 Tungsten whole-stage-codegen compile it (substitution documented in
-DESIGN.md).
+DESIGN.md). The session keeps a batch's generated classes in its codegen
+cache (``jobs/_common.get_spark``), so a repeated batch compiles none.
 """
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 
+import pyarrow as pa
 from pyspark import inheritable_thread_target
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import StructType
 
 from repro.core.aggregates import Query
 from repro.core.database import Database
@@ -146,14 +153,17 @@ class Engine:
             base = base.cache()  # shared scan, one groupBy per view
             self._cached.append(base)
         for vd in vds:
-            self.views[vd.key] = self._local(self._agg(base, vd.key.ga, [vd]))
+            df = self._agg(base, vd.key.ga, [vd])
+            self.views[vd.key] = self._local(df, df.toArrow())
 
     @staticmethod
-    def _local(df: DataFrame) -> DataFrame:
-        """Compute ``df`` and hold it on the driver as an Arrow-backed local
-        relation (module docstring, step 1). The Spark schema is passed
-        along, so types and nullability stay exactly those of ``df``."""
-        return df.sparkSession.createDataFrame(df.toArrow(), schema=df.schema)
+    def _local(df: DataFrame, table: pa.Table) -> DataFrame:
+        """Hold ``table``, computed from ``df``'s result, on the driver as
+        an Arrow-backed local relation (module docstring, step 1). Each
+        column takes the Spark field of the same name in ``df``, so types
+        and nullability stay exactly those of ``df``."""
+        fields = StructType([df.schema[c] for c in table.column_names])
+        return df.sparkSession.createDataFrame(table, schema=fields)
 
     @staticmethod
     def _agg(base: DataFrame, ga: frozenset[str], vds: list[ViewDef]) -> DataFrame:
@@ -164,15 +174,21 @@ class Engine:
     def _multi_output(self, base: DataFrame, vds: list[ViewDef]) -> None:
         """One shared aggregation for all views of a pass: partial-
         aggregate the joined base by the union of the group attrs (every
-        aggregate column computed exactly once over the scan), then read
-        each view off the partial aggregate. Correct because every
-        aggregate is a SUM, which is decomposable over the finer grouping."""
+        aggregate column computed exactly once over the scan), collect it
+        once, then derive each view from it on the driver. Correct because
+        every aggregate is a SUM, which is decomposable over the finer
+        grouping."""
         universe = frozenset().union(*(vd.key.ga for vd in vds))
-        pre = self._local(self._agg(base, universe, vds))
+        pre = self._agg(base, universe, vds)
+        table = pre.toArrow()
         for vd in vds:
             gb = sorted(vd.key.ga)
             if vd.key.ga == universe:
-                self.views[vd.key] = pre.select(*gb, *vd.cols)
+                view = table.select([*gb, *vd.cols])
             else:
-                rollup = [F.expr(f"SUM({col})").alias(col) for col in vd.cols]
-                self.views[vd.key] = self._local(pre.groupBy(*gb).agg(*rollup))
+                sums = table.group_by(gb, use_threads=False).aggregate(
+                    [(c, "sum") for c in vd.cols]
+                )
+                view = sums.select([*gb, *(f"{c}_sum" for c in vd.cols)])
+                view = view.rename_columns([*gb, *vd.cols])
+            self.views[vd.key] = self._local(pre, view)

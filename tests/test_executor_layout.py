@@ -1,8 +1,13 @@
-"""Where the engine keeps what it computes, and that it cleans up.
+"""Where the engine keeps what it computes, what it runs on Spark, and
+that it cleans up.
 
 Views are small and always broadcast, so the engine holds each one on the
 driver as a local relation: a multi-output run leaves nothing in Spark
-storage, and reading a view starts no Spark job. Only the fact-sized
+storage, and reading a view starts no Spark job. A pass runs one Spark
+query, its partial aggregate; the views rolled up from it are computed on
+the driver with pyarrow and must agree with Spark's ``SUM`` on null keys,
+null values, all-null groups and empty inputs. A repeated batch finds its
+generated classes in the session's codegen cache. Only the fact-sized
 shared join of the ``multi_output=False`` ablation is cached, with the
 partitioning of its relation, until the engine is released. Passes run on
 a thread pool; a failing pass makes ``run`` raise its own exception and
@@ -15,12 +20,21 @@ has the same plan (Spark would reuse that cache instead of adding one).
 import threading
 from contextlib import nullcontext
 
+import pandas as pd
 import pytest
 from pyspark.errors import AnalysisException
 
 from corpus import FAVORITA_CORPUS
+from jobs_features import favorita_std
+from table1_batch_stats import rollups
+from repro.core.aggregates import Query, SumProduct
+from repro.core.database import Database
 from repro.core.executor import Engine
+from repro.core.schema import JoinTree, Relation
+from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
+from repro.ml.linreg import sigma_batch
+from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +105,115 @@ def test_failing_pass_raises_its_own_error(db):
         with pytest.raises(AnalysisException, match="no_such_column"):
             eng.run(FAVORITA_CORPUS)
     assert set(threading.enumerate()) <= threads
+
+
+def _jobs_of(sc, group: str, run) -> int:
+    """Spark jobs that ``run()`` starts under job group ``group``."""
+    sc.setJobGroup(group, group)
+    try:
+        run()
+    finally:
+        sc._jsc.clearJobGroup()
+    _drain(sc)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_rollups_start_no_spark_job(spark, db):
+    """At ``stores`` the views grouped by ``[cluster]`` and ``[stype]`` are
+    rolled up from the ``[cluster, stype]`` partial aggregate of their
+    pass, so the batch runs as many jobs as that view alone."""
+    count = SumProduct.count()
+    both = Query.make("both", ["cluster", "stype"], n=count)
+    batch = [both, Query.make("c", ["cluster"], n=count), Query.make("s", ["stype"], n=count)]
+
+    def run(qs):
+        with Engine(db) as eng:
+            eng.run(qs, roots={q.name: "stores" for q in qs})
+
+    sc = spark.sparkContext
+    assert _jobs_of(sc, "rollup-3", lambda: run(batch)) == _jobs_of(
+        sc, "rollup-1", lambda: run([both])
+    )
+
+
+@pytest.fixture(scope="module")
+def null_db(spark):
+    """Two relations with null join keys, null group-by values, null
+    measures and a group (``g = 'dry'``) whose measures are all null."""
+    tree = JoinTree(
+        [Relation("facts", ("k", "g", "y")), Relation("dims", ("k", "c", "z"))],
+        [("facts", "dims")],
+    )
+    facts = pd.DataFrame(
+        {
+            "k": pd.array([1, 1, 2, 2, 3, None, 3, 4], dtype="Int64"),
+            "g": ["a", None, "a", "dry", "dry", "a", None, "b"],
+            "y": [1.0, 2.0, None, None, None, 5.0, 7.0, 8.0],
+        }
+    )
+    dims = pd.DataFrame(
+        {
+            "k": pd.array([1, 2, 3, None, 4], dtype="Int64"),
+            "c": ["x", None, "x", "y", None],
+            "z": [0.5, 2.0, None, 4.0, 3.0],
+        }
+    )
+    frames = {n: spark.createDataFrame(pdf) for n, pdf in (("facts", facts), ("dims", dims))}
+    return Database(tree, frames)
+
+
+NULL_BATCH = [
+    Query.make("cg", ["c", "g"], n=SumProduct.count(), s=SumProduct.of(y="y")),
+    Query.make("c", ["c"], n=SumProduct.count(), s=SumProduct.of(y="y"), sz=SumProduct.of(y="y", z="z")),
+    Query.make("g", ["g"], s=SumProduct.of(y="y"), sz=SumProduct.of(y="y", z="z")),
+    Query.make("all", [], n=SumProduct.count(), s=SumProduct.of(y="y")),
+]
+
+
+def _rows(df) -> pd.DataFrame:
+    pdf = df.toPandas()
+    return pdf.sort_values(list(pdf.columns), na_position="first").reset_index(drop=True)
+
+
+@pytest.mark.parametrize(
+    "filters", [[], [("y", "y > 100.0")]], ids=["nulls", "empty-join"]
+)
+def test_driver_rollups_match_spark_sum(null_db, filters):
+    """Rooted at ``dims``, the output views grouped by ``[g]`` and ``[]``
+    are driver rollups of ``[c, g]`` and ``[c]``, and the ``facts`` view
+    keyed by ``[k]`` is one of ``[g, k]``. They must give what the oracle
+    and the ablation (one Spark ``groupBy`` per view) give."""
+    fdb = null_db.with_filters(filters)
+    roots = {q.name: "dims" for q in NULL_BATCH}
+    with Engine(fdb) as eng, Engine(fdb, multi_output=False) as ablation:
+        res = eng.run(NULL_BATCH, roots)
+        ref = ablation.run(NULL_BATCH, roots)
+        assert rollups(eng.plan) == 3
+        for q in NULL_BATCH:
+            assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
+            pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
+            assert res[q.name].schema == ref[q.name].schema
+        total = res["all"].toPandas()
+    if filters:
+        # SUM over no rows, like Spark's and SQL's: one row, all null.
+        assert len(total) == 1 and total.isna().all(axis=None)
+    else:
+        g = _rows(res["g"]).set_index("g")
+        assert pd.isna(g.loc["dry", "s"]) and g.loc["a", "s"] == 1.0
+
+
+def test_repeated_batch_compiles_no_code(spark, fav_db):
+    """The Favorita LR Σ batch needs more generated classes than Spark's
+    default codegen cache of 100 holds; the session's cache keeps them all,
+    so running the batch again compiles nothing."""
+    metrics = spark.sparkContext._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    compiled = metrics.METRIC_COMPILATION_TIME()
+    batch = sigma_batch(favorita_std(), "units")
+    counts = []
+    for _ in range(2):
+        before = compiled.getCount()
+        with Engine(fav_db) as eng:
+            for df in eng.run(batch).values():
+                df.toPandas()
+        counts.append(compiled.getCount() - before)
+    assert counts[1] == 0, counts

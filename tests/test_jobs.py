@@ -64,6 +64,29 @@ def test_table1_levels_bounded_by_passes(t1):
         assert 1 <= r["levels"] <= r["passes"]
 
 
+def test_table1_rollups_of_benchmark_batches(fav_db):
+    """The LR Σ batch rolls 5 views up on the driver; neither Rk-means
+    batch (projections, then the grid over the extended tree) has one."""
+    import pandas as pd
+    from jobs_features import favorita_std
+
+    from repro.core.planner import plan_batch
+    from repro.ml.linreg import sigma_batch
+    from repro.ml.rkmeans import extend_with_assignments, grid_query, projection_batch
+
+    attrs = ["units", "txns", "oilprize"]
+    ext = extend_with_assignments(
+        fav_db, {a: pd.DataFrame({a: [0.0], f"c_{a}": [0]}) for a in attrs}
+    )
+    batches = [
+        (fav_db, sigma_batch(favorita_std(), "units")),
+        (fav_db, projection_batch(attrs)),
+        (ext, [grid_query(attrs)]),
+    ]
+    got = [table1_batch_stats.rollups(plan_batch(db.tree, b)) for db, b in batches]
+    assert got == [5, 0, 0]
+
+
 def test_table2_runs_and_strategies_agree_on_shape(spark):
     rows = table2_runtime.main(spark, sf=0.002)
     assert len(rows) == 12  # 4 strategies x 2 datasets + 2x2 fan-out sweep (T2b)

@@ -3,8 +3,13 @@ the engine must always agree with the DuckDB oracle.
 
 Hypothesis drives the query shape (group-by subset, factor subset,
 per-factor expression); every example plans, executes and oracle-checks
-a fresh batch. Examples are capped because each one runs real Spark jobs.
+a fresh batch. Batches of several random queries also exercise what a
+single query never does: merged views, output views shared by queries
+and views rolled up from their pass's partial aggregate. Examples are
+capped because each one runs real Spark jobs.
 """
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -48,3 +53,18 @@ def test_random_query_matches_oracle(fav_db, q):
     with Engine(fav_db) as eng:
         res = eng.run([q])
         assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(qs=st.lists(queries(), min_size=2, max_size=4))
+def test_random_batch_matches_oracle(fav_db, qs):
+    batch = [replace(q, name=f"rq{i}") for i, q in enumerate(qs)]
+    with Engine(fav_db) as eng:
+        res = eng.run(batch)
+        for q in batch:
+            assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
