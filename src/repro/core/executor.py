@@ -15,21 +15,26 @@ its exception. For each pass:
    local relation and hash-broadcast into the scan. A downstream pass,
    and every query result (a ``select`` of its output view), then plans
    over a leaf instead of the nested lineage of every upstream view.
-   Broadcast applies ONLY to view joins: the session disables automatic
-   broadcast, so base-relation joins (the baselines) keep the generic
-   shuffle join pipeline;
+   Each view is broadcast as one partition, so its broadcast job is one
+   task. Broadcast applies ONLY to view joins: the session disables
+   automatic broadcast, so base-relation joins (the baselines) keep the
+   generic shuffle join pipeline;
 2. with ``multi_output=True`` all views of the pass are computed via
    **one shared partial aggregation**, the pass's only Spark query: the
    joined base is aggregated once, keyed by the *union* of the pass's
    group attributes and carrying every aggregate column, and collected
-   to the driver as one Arrow table. Every view is then derived from that
-   table on the driver: a view grouped by the whole union is a column
-   ``select`` of it, every other view a pyarrow ``group_by``/``sum``
-   rollup of it (null keys form one group and an all-null group sums to
-   null, as in Spark's ``SUM``; an empty table rolls up to one null row
-   under ``GROUP BY ()``). This is the Spark analogue of LMFAO's
-   multi-output plans (Fig. 3): the partial aggregate plays the role of
-   the shared running sums (β's) that every output reads. (SQL
+   to the driver as one Arrow table. The base is read as one partition,
+   so the scan, the view probes and the aggregation run in one task, with
+   no shuffle: at these sizes a pass costs its Spark job, not its data,
+   and the parallelism comes from the concurrent passes. Every view is
+   then derived from that table on the driver: a view grouped by the
+   whole union is a column ``select`` of it, every other view a pyarrow
+   ``group_by``/``sum`` rollup of it (null keys form one group and an
+   all-null group sums to null, as in Spark's ``SUM``; an empty table
+   rolls up to one null row under ``GROUP BY ()``). This is the Spark
+   analogue of LMFAO's multi-output plans (Fig. 3): the partial aggregate
+   plays the role of the shared running sums (β's) that every output
+   reads. (SQL
    ``GROUPING SETS`` would be the obvious alternative, but Spark
    implements it with an Expand operator that *replicates every input
    row once per grouping set* — the opposite of single-pass sharing.)
@@ -145,7 +150,7 @@ class Engine:
         base = self.db.df(node)
         for vk in inputs:
             on = sorted(self.tree.join_attrs(vk.node, node))
-            base = base.join(F.broadcast(self.views[vk]), on=on, how="inner")
+            base = base.join(F.broadcast(self.views[vk].coalesce(1)), on=on, how="inner")
         if self.multi_output:
             self._multi_output(base, vds)
             return
@@ -179,7 +184,7 @@ class Engine:
         every aggregate is a SUM, which is decomposable over the finer
         grouping."""
         universe = frozenset().union(*(vd.key.ga for vd in vds))
-        pre = self._agg(base, universe, vds)
+        pre = self._agg(base.coalesce(1), universe, vds)
         table = pre.toArrow()
         for vd in vds:
             gb = sorted(vd.key.ga)

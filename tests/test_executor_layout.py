@@ -4,9 +4,11 @@ that it cleans up.
 Views are small and always broadcast, so the engine holds each one on the
 driver as a local relation: a multi-output run leaves nothing in Spark
 storage, and reading a view starts no Spark job. A pass runs one Spark
-query, its partial aggregate; the views rolled up from it are computed on
-the driver with pyarrow and must agree with Spark's ``SUM`` on null keys,
-null values, all-null groups and empty inputs. A repeated batch finds its
+query, its partial aggregate, as one task over its relation read as one
+partition, and each view it broadcasts in costs one more one-task job.
+The views rolled up from the partial aggregate are computed on the driver
+with pyarrow and must agree with Spark's ``SUM`` on null keys, null
+values, all-null groups and empty inputs. A repeated batch finds its
 generated classes in the session's codegen cache. Only the fact-sized
 shared join of the ``multi_output=False`` ablation is cached, with the
 partitioning of its relation, until the engine is released. Passes run on
@@ -26,7 +28,7 @@ from pyspark.errors import AnalysisException
 
 from corpus import FAVORITA_CORPUS
 from jobs_features import favorita_std
-from table1_batch_stats import rollups
+from table1_batch_stats import broadcasts, rollups
 from repro.core.aggregates import Query, SumProduct
 from repro.core.database import Database
 from repro.core.executor import Engine
@@ -134,6 +136,24 @@ def test_rollups_start_no_spark_job(spark, db):
     assert _jobs_of(sc, "rollup-3", lambda: run(batch)) == _jobs_of(
         sc, "rollup-1", lambda: run([both])
     )
+
+
+def test_pass_jobs_run_one_task(spark, db):
+    """The Favorita LR Σ batch builds its 17 passes with one job each, plus
+    one broadcast job per incoming view (25), and every stage of those jobs
+    is one task: no shuffle, no separate map-stage job."""
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    eng = Engine(db)
+    jobs = _jobs_of(sc, "one-task", lambda: eng.run(sigma_batch(favorita_std(), "units")))
+    assert jobs == len(eng.plan.passes()) + broadcasts(eng.plan) == 42
+    stages = [
+        tracker.getStageInfo(s)
+        for j in tracker.getJobIdsForGroup("one-task")
+        for s in tracker.getJobInfo(j).stageIds
+    ]
+    assert len(stages) == jobs
+    assert [s.numTasks for s in stages] == [1] * jobs
 
 
 @pytest.fixture(scope="module")

@@ -87,6 +87,23 @@ def test_table1_rollups_of_benchmark_batches(fav_db):
     assert got == [5, 0, 0]
 
 
+def test_table1_broadcasts_of_benchmark_batches(fav_db):
+    """The LR Σ batch broadcasts 25 views into its 17 passes, the Rk-means
+    projection batch 14 into 10: the engine's build jobs beyond one per pass."""
+    from jobs_features import favorita_std
+
+    from repro.core.planner import plan_batch
+    from repro.ml.linreg import sigma_batch
+    from repro.ml.rkmeans import projection_batch
+
+    plans = [
+        plan_batch(fav_db.tree, sigma_batch(favorita_std(), "units")),
+        plan_batch(fav_db.tree, projection_batch(["units", "txns", "oilprize"])),
+    ]
+    got = [(len(p.passes()), table1_batch_stats.broadcasts(p)) for p in plans]
+    assert got == [(17, 25), (10, 14)]
+
+
 def test_table2_runs_and_strategies_agree_on_shape(spark):
     rows = table2_runtime.main(spark, sf=0.002)
     assert len(rows) == 12  # 4 strategies x 2 datasets + 2x2 fan-out sweep (T2b)

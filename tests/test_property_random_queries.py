@@ -5,8 +5,10 @@ Hypothesis drives the query shape (group-by subset, factor subset,
 per-factor expression); every example plans, executes and oracle-checks
 a fresh batch. Batches of several random queries also exercise what a
 single query never does: merged views, output views shared by queries
-and views rolled up from their pass's partial aggregate. Examples are
-capped because each one runs real Spark jobs.
+and views rolled up from their pass's partial aggregate. Each batch also
+runs over inputs repartitioned to a drawn partition count, so a result
+must not depend on how its inputs are split. Examples are capped because
+each one runs real Spark jobs.
 """
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import Query, SumProduct
+from repro.core.database import Database
 from repro.core.executor import Engine
 from repro.core.sql_compile import query_to_sql
 from repro.oracle import assert_equivalent
@@ -55,16 +58,35 @@ def test_random_query_matches_oracle(fav_db, q):
         assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
 
 
+def _check_batch(db, batch, parts):
+    """Run ``batch`` over ``db`` with every input frame repartitioned to
+    ``parts`` partitions and oracle-check each query against ``db``'s data."""
+    split = Database(db.tree, {n: df.repartition(parts) for n, df in db.frames.items()}, db.filters)
+    with Engine(split) as eng:
+        res = eng.run(batch)
+        for q in batch:
+            assert_equivalent(res[q.name], query_to_sql(db, q), rtol=1e-9, **db.oracle_tables())
+
+
 @pytest.mark.slow
 @settings(
     max_examples=8,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(qs=st.lists(queries(), min_size=2, max_size=4))
-def test_random_batch_matches_oracle(fav_db, qs):
-    batch = [replace(q, name=f"rq{i}") for i, q in enumerate(qs)]
-    with Engine(fav_db) as eng:
-        res = eng.run(batch)
-        for q in batch:
-            assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
+@given(qs=st.lists(queries(), min_size=2, max_size=4), parts=st.sampled_from([1, 4, 7]))
+def test_random_batch_matches_oracle(fav_db, qs, parts):
+    _check_batch(fav_db, [replace(q, name=f"rq{i}") for i, q in enumerate(qs)], parts)
+
+
+def test_filtered_batch_matches_oracle_over_split_inputs(fav_db):
+    """Pushed filters on two relations, a rollup and a global total, over
+    inputs split into 7 partitions."""
+    units = SumProduct.of(units="units")
+    batch = [
+        Query.make("fs", ["family", "stype"], v=units, n=SumProduct.count()),
+        Query.make("f", ["family"], v=units),
+        Query.make("all", [], v=units, t=SumProduct.of(txns="txns")),
+    ]
+    fdb = fav_db.with_filters([("promo", "promo = 1"), ("perishable", "perishable = 1")])
+    _check_batch(fdb, batch, 7)
