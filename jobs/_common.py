@@ -30,7 +30,18 @@ def get_spark(app: str) -> SparkSession:
     into ``PYSPARK_SUBMIT_ARGS`` — only as a default, so launch args a
     caller has pinned beforehand win. The remaining configs are honoured
     after launch. Automatic broadcast is off so base-relation joins take
-    the shuffle path; the engine broadcasts its views explicitly.
+    the shuffle path; the engine hash-joins its views into each pass's one
+    partition (and its ``multi_output=False`` ablation broadcasts them).
+
+    ``spark.sql.maxSinglePartitionBytes`` is unbounded so that a join of
+    one-partition inputs stays in one partition. Without statistics
+    Spark estimates a join's size as the product of its inputs' sizes,
+    and above this limit (128 MB by default) it shuffles both sides into
+    ``spark.sql.shuffle.partitions`` partitions. From a pass's second view
+    join on the estimate passes the limit even over a few hundred rows,
+    and the Favorita LR Σ batch built in 41 jobs instead of 17. The
+    estimate is unbounded, so a pass whose product passes even 2**63 - 1
+    still shuffles: at SF 0.1 the four-view pass over ``sales`` does.
 
     The codegen cache holds 1000 generated classes instead of Spark's
     default 100. One batch compiles more classes than 100 (113-116 for
@@ -53,6 +64,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.codegen.cache.maxEntries", 1000)
+        .config("spark.sql.maxSinglePartitionBytes", 2**63 - 1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()
@@ -60,8 +72,10 @@ def get_spark(app: str) -> SparkSession:
 
 
 def force(results: dict[str, DataFrame]) -> int:
-    """Force execution of every result frame; returns total output rows."""
-    return sum(df.count() for df in results.values())
+    """Collect every result frame, as the applications do; returns total
+    output rows. (``count()`` would not do: Spark prunes every aggregate
+    of a ``groupBy(...).agg(...)`` it only counts.)"""
+    return sum(len(df.toPandas()) for df in results.values())
 
 
 def timed(fn) -> tuple[float, object]:

@@ -13,10 +13,10 @@ independent passes at the same time, so passes / levels bounds the task
 parallelism a batch offers. ``rollups`` counts the views grouped by less
 than the union of their pass: the engine derives them on the driver from
 the pass's partial aggregate, without a Spark query of their own.
-``broadcasts`` sums the incoming views over the passes: the engine runs
-one Spark job per pass and one per view it broadcasts into a pass, so a
-batch's build starts ``passes + broadcasts`` jobs (fewer only when Spark
-reuses a broadcast because two views of one pass hold the same rows).
+``view_joins`` sums the incoming views over the passes: the hash joins
+of a view into its pass's relation. They run inside the pass's one Spark
+job, so a batch's build starts ``passes`` jobs (more only where Spark's
+size estimate of a join overflows, see ``core/executor.py``).
 
 Run: ``spark-submit jobs/table1_batch_stats.py [sf]``
 """
@@ -51,7 +51,7 @@ def rollups(plan) -> int:
     return n
 
 
-def broadcasts(plan) -> int:
+def view_joins(plan) -> int:
     """Incoming views of ``plan``, summed over its passes."""
     return sum(len(inputs) for _, inputs, _ in plan.passes())
 
@@ -69,7 +69,7 @@ def _plan_row(db, batch, app, dataset, effective=None):
         "passes": len(plan.passes()),
         "levels": levels(plan),
         "rollups": rollups(plan),
-        "broadcasts": broadcasts(plan),
+        "view_joins": view_joins(plan),
         "view_columns": s["view_columns"],
         "roots": s["roots"],
     }

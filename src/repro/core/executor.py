@@ -12,18 +12,28 @@ its exception. For each pass:
    shared scan of the Multi-Output Optimization layer). Views are small
    pre-aggregated lookup structures (in-memory hashmaps in the paper's
    generated C++), so every view is held on the driver as an Arrow-backed
-   local relation and hash-broadcast into the scan. A downstream pass,
-   and every query result (a ``select`` of its output view), then plans
-   over a leaf instead of the nested lineage of every upstream view.
-   Each view is broadcast as one partition, so its broadcast job is one
-   task. Broadcast applies ONLY to view joins: the session disables
-   automatic broadcast, so base-relation joins (the baselines) keep the
-   generic shuffle join pipeline;
+   local relation. A downstream pass, and every query result (a
+   ``select`` of its output view), then plans over a leaf instead of the
+   nested lineage of every upstream view. With ``multi_output=True`` the
+   relation and every view are read as one partition and each view is
+   hash-joined into the relation with the view as the build side (the
+   paper's α lookups). After every join the base is coalesced to one
+   partition again, which, together with the session's
+   ``spark.sql.maxSinglePartitionBytes``, keeps Spark from inserting a
+   shuffle between joins: the whole pass is one job of one task and
+   nothing is broadcast. (Spark's size estimate of a join is the product
+   of its inputs' sizes; where that passes 2**63 - 1 bytes, as for the
+   four-view pass over ``sales`` at SF 0.1, Spark still shuffles the join
+   and the pass runs a few more jobs.) The ``multi_output=False`` ablation broadcasts
+   each view (as one partition) into its relation as it is partitioned,
+   one broadcast job per view. The session disables automatic broadcast,
+   so base-relation joins (the baselines) keep the generic shuffle join
+   pipeline;
 2. with ``multi_output=True`` all views of the pass are computed via
    **one shared partial aggregation**, the pass's only Spark query: the
    joined base is aggregated once, keyed by the *union* of the pass's
    group attributes and carrying every aggregate column, and collected
-   to the driver as one Arrow table. The base is read as one partition,
+   to the driver as one Arrow table. The base is one partition (step 1),
    so the scan, the view probes and the aggregation run in one task, with
    no shuffle: at these sizes a pass costs its Spark job, not its data,
    and the parallelism comes from the concurrent passes. Every view is
@@ -147,13 +157,19 @@ class Engine:
         passes in ``deps`` produced them, and compute the views ``vds``."""
         for f in deps:
             f.result()
+        if self.multi_output:
+            base = self.db.df(node).coalesce(1)
+            for vk in inputs:
+                on = sorted(self.tree.join_attrs(vk.node, node))
+                # A hash join that builds its table from the view.
+                view = self.views[vk].coalesce(1).hint("shuffle_hash")
+                base = base.join(view, on=on, how="inner").coalesce(1)
+            self._multi_output(base, vds)
+            return
         base = self.db.df(node)
         for vk in inputs:
             on = sorted(self.tree.join_attrs(vk.node, node))
             base = base.join(F.broadcast(self.views[vk].coalesce(1)), on=on, how="inner")
-        if self.multi_output:
-            self._multi_output(base, vds)
-            return
         if len(vds) > 1:
             base = base.cache()  # shared scan, one groupBy per view
             self._cached.append(base)
@@ -184,7 +200,7 @@ class Engine:
         every aggregate is a SUM, which is decomposable over the finer
         grouping."""
         universe = frozenset().union(*(vd.key.ga for vd in vds))
-        pre = self._agg(base.coalesce(1), universe, vds)
+        pre = self._agg(base, universe, vds)
         table = pre.toArrow()
         for vd in vds:
             gb = sorted(vd.key.ga)

@@ -1,12 +1,12 @@
 """Where the engine keeps what it computes, what it runs on Spark, and
 that it cleans up.
 
-Views are small and always broadcast, so the engine holds each one on the
-driver as a local relation: a multi-output run leaves nothing in Spark
-storage, and reading a view starts no Spark job. A pass runs one Spark
-query, its partial aggregate, as one task over its relation read as one
-partition, and each view it broadcasts in costs one more one-task job.
-The views rolled up from the partial aggregate are computed on the driver
+Views are small, so the engine holds each one on the driver as a local
+relation: a multi-output run leaves nothing in Spark storage, and reading
+a view starts no Spark job. A pass runs one Spark query, its partial
+aggregate, as one job of one task: its relation is read as one partition
+and hash-joined there with each incoming view, where a null join key
+matches nothing. The views rolled up from the partial aggregate are computed on the driver
 with pyarrow and must agree with Spark's ``SUM`` on null keys, null
 values, all-null groups and empty inputs. A repeated batch finds its
 generated classes in the session's codegen cache. Only the fact-sized
@@ -28,7 +28,7 @@ from pyspark.errors import AnalysisException
 
 from corpus import FAVORITA_CORPUS
 from jobs_features import favorita_std
-from table1_batch_stats import broadcasts, rollups
+from table1_batch_stats import rollups
 from repro.core.aggregates import Query, SumProduct
 from repro.core.database import Database
 from repro.core.executor import Engine
@@ -36,6 +36,7 @@ from repro.core.schema import JoinTree, Relation
 from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
 from repro.ml.linreg import sigma_batch
+from repro.ml.rkmeans import projection_batch
 from repro.oracle import assert_equivalent
 
 
@@ -139,21 +140,27 @@ def test_rollups_start_no_spark_job(spark, db):
 
 
 def test_pass_jobs_run_one_task(spark, db):
-    """The Favorita LR Σ batch builds its 17 passes with one job each, plus
-    one broadcast job per incoming view (25), and every stage of those jobs
-    is one task: no shuffle, no separate map-stage job."""
+    """The Favorita LR Σ batch builds in 17 jobs and the Rk-means
+    projection batch in 10, one per pass, and each job is one stage of one
+    task: the incoming views are joined inside the pass's task, so no view
+    is broadcast and nothing is shuffled."""
     sc = spark.sparkContext
     tracker = sc.statusTracker()
-    eng = Engine(db)
-    jobs = _jobs_of(sc, "one-task", lambda: eng.run(sigma_batch(favorita_std(), "units")))
-    assert jobs == len(eng.plan.passes()) + broadcasts(eng.plan) == 42
-    stages = [
-        tracker.getStageInfo(s)
-        for j in tracker.getJobIdsForGroup("one-task")
-        for s in tracker.getJobInfo(j).stageIds
-    ]
-    assert len(stages) == jobs
-    assert [s.numTasks for s in stages] == [1] * jobs
+    batches = {
+        "lr-sigma": (sigma_batch(favorita_std(), "units"), 17),
+        "rkmeans-projections": (projection_batch(["units", "txns", "oilprize"]), 10),
+    }
+    for group, (batch, passes) in batches.items():
+        eng = Engine(db)
+        jobs = _jobs_of(sc, group, lambda: eng.run(batch))
+        assert jobs == len(eng.plan.passes()) == passes, group
+        stages = [
+            tracker.getStageInfo(s)
+            for j in tracker.getJobIdsForGroup(group)
+            for s in tracker.getJobInfo(j).stageIds
+        ]
+        assert len(stages) == jobs, group
+        assert [s.numTasks for s in stages] == [1] * jobs, group
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +227,74 @@ def test_driver_rollups_match_spark_sum(null_db, filters):
     else:
         g = _rows(res["g"]).set_index("g")
         assert pd.isna(g.loc["dry", "s"]) and g.loc["a", "s"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def star_db(spark):
+    """A star: ``facts`` joins ``d1`` on ``k1`` and ``d2`` on ``k2``. Both
+    sides of ``k1`` hold a null key, so the view out of ``d1`` carries a
+    null join key that must match nothing."""
+    tree = JoinTree(
+        [
+            Relation("facts", ("k1", "k2", "g", "y")),
+            Relation("d1", ("k1", "c", "z")),
+            Relation("d2", ("k2", "w")),
+        ],
+        [("facts", "d1"), ("facts", "d2")],
+    )
+    facts = pd.DataFrame(
+        {
+            "k1": pd.array([1, 1, 2, None, 3, 2], dtype="Int64"),
+            "k2": pd.array([10, 20, 10, 10, None, 30], dtype="Int64"),
+            "g": ["a", "b", None, "a", "b", "a"],
+            "y": [1.0, 2.0, 3.0, 4.0, 5.0, None],
+        }
+    )
+    d1 = pd.DataFrame(
+        {
+            "k1": pd.array([1, 2, None, 3], dtype="Int64"),
+            "c": ["x", None, "x", "y"],
+            "z": [0.5, 2.0, 8.0, None],
+        }
+    )
+    d2 = pd.DataFrame(
+        {"k2": pd.array([10, 20, None, 30], dtype="Int64"), "w": [1.0, 3.0, 5.0, None]}
+    )
+    pdfs = {"facts": facts, "d1": d1, "d2": d2}
+    return Database(tree, {n: spark.createDataFrame(pdf) for n, pdf in pdfs.items()})
+
+
+STAR_BATCH = [
+    Query.make("gc", ["g", "c"], n=SumProduct.count(), yz=SumProduct.of(y="y", z="z")),
+    Query.make("g", ["g"], s=SumProduct.of(y="y"), yw=SumProduct.of(y="y", w="w")),
+    Query.make("all", [], n=SumProduct.count(), zw=SumProduct.of(z="z", w="w")),
+]
+
+
+@pytest.mark.parametrize(
+    "filters", [[], [("w", "w > 100.0")]], ids=["null-keys", "empty-join"]
+)
+def test_two_input_pass_matches_oracle(star_db, filters):
+    """Rooted at ``facts``, the views out of ``d1`` and ``d2`` are both
+    joined into one pass over ``facts``, inside its one task. Null join
+    keys match nothing, and a filter on ``d2`` empties the join; the
+    results must be the oracle's and the ablation's (broadcast joins)."""
+    fdb = star_db.with_filters(filters)
+    roots = {q.name: "facts" for q in STAR_BATCH}
+    with Engine(fdb) as eng, Engine(fdb, multi_output=False) as ablation:
+        res = eng.run(STAR_BATCH, roots)
+        ref = ablation.run(STAR_BATCH, roots)
+        assert max(len(inputs) for _, inputs, _ in eng.plan.passes()) == 2
+        for q in STAR_BATCH:
+            assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
+            pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
+            assert res[q.name].schema == ref[q.name].schema
+        total = res["all"].toPandas()
+    if filters:
+        assert len(total) == 1 and total.isna().all(axis=None)
+    else:
+        # The two facts rows with a null key match nothing.
+        assert total.loc[0, "n"] == 4
 
 
 def test_repeated_batch_compiles_no_code(spark, fav_db):

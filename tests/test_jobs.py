@@ -87,9 +87,9 @@ def test_table1_rollups_of_benchmark_batches(fav_db):
     assert got == [5, 0, 0]
 
 
-def test_table1_broadcasts_of_benchmark_batches(fav_db):
-    """The LR Σ batch broadcasts 25 views into its 17 passes, the Rk-means
-    projection batch 14 into 10: the engine's build jobs beyond one per pass."""
+def test_table1_view_joins_of_benchmark_batches(fav_db):
+    """The LR Σ batch joins 25 views into its 17 passes, the Rk-means
+    projection batch 14 into 10; each pass with its joins is one job."""
     from jobs_features import favorita_std
 
     from repro.core.planner import plan_batch
@@ -100,7 +100,7 @@ def test_table1_broadcasts_of_benchmark_batches(fav_db):
         plan_batch(fav_db.tree, sigma_batch(favorita_std(), "units")),
         plan_batch(fav_db.tree, projection_batch(["units", "txns", "oilprize"])),
     ]
-    got = [(len(p.passes()), table1_batch_stats.broadcasts(p)) for p in plans]
+    got = [(len(p.passes()), table1_batch_stats.view_joins(p)) for p in plans]
     assert got == [(17, 25), (10, 14)]
 
 
