@@ -31,7 +31,7 @@ def get_spark(app: str) -> SparkSession:
     caller has pinned beforehand win. The remaining configs are honoured
     after launch. Automatic broadcast is off so base-relation joins take
     the shuffle path; the engine hash-joins its views into each pass's one
-    partition (and its ``multi_output=False`` ablation broadcasts them).
+    partition (and ``baseline.run_nomoo`` broadcasts them).
 
     ``spark.sql.maxSinglePartitionBytes`` is unbounded so that a join of
     one-partition inputs stays in one partition. Without statistics

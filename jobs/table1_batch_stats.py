@@ -26,7 +26,6 @@ import sys
 
 from repro.core.executor import Engine
 from repro.core.planner import plan_batch
-from repro.core.root_assignment import assign_roots
 from repro.datasets import favorita_db, retailer_db
 from repro.ml.decision_tree import node_batch
 from repro.ml.linreg import favorita_features, retailer_features, sigma_batch
@@ -57,7 +56,7 @@ def view_joins(plan) -> int:
 
 
 def _plan_row(db, batch, app, dataset, effective=None):
-    plan = plan_batch(db.tree, batch, assign_roots(db.tree, batch))
+    plan = plan_batch(db.tree, batch)
     s = plan.stats()
     return {
         "app": app,
@@ -88,11 +87,10 @@ def main(spark, sf: float = 0.01) -> list[dict]:
 
         dt_feats = [f for f in feats if f.attr != label]
         batch = node_batch(dt_feats, label)
-        with Engine(db) as eng:
-            results = eng.run(batch)
-            # effective aggregates = (#candidate thresholds per feature) x 3,
-            # the counting behind the paper's "3,141 aggregates per node".
-            eff = 3 + sum(3 * results[q.name].count() for q in batch if q.group_by)
+        results = Engine(db).run(batch)
+        # effective aggregates = (#candidate thresholds per feature) x 3,
+        # the counting behind the paper's "3,141 aggregates per node".
+        eff = 3 + sum(3 * results[q.name].count() for q in batch if q.group_by)
         rows.append(_plan_row(db, batch, "decision tree (per node)", name, effective=eff))
 
         attrs = [f.attr for f in feats if not f.categorical]

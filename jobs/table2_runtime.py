@@ -6,7 +6,7 @@ own, and the multi-output pass adds further sharing. Strategies:
 
 * ``naive``       — one independent join+aggregate per query
 * ``shared_join`` — materialize D once (cached), aggregate per query
-* ``lmfao_nomoo`` — LMFAO views, but one groupBy per view (ablation)
+* ``lmfao_nomoo`` — LMFAO views, but one groupBy per view (``run_nomoo``)
 * ``lmfao``       — full engine (merged views + multi-output passes: one
   partial aggregate per pass, then a select or rollup per view on the
   driver)
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.baseline import run_naive, run_shared_join
+from repro.core.baseline import run_naive, run_nomoo, run_shared_join
 from repro.core.executor import Engine
 from repro.ml.linreg import sigma_batch
 
@@ -26,7 +26,7 @@ def strategies(db):
     return {
         "naive": lambda batch: run_naive(db, batch),
         "shared_join": lambda batch: run_shared_join(db, batch),
-        "lmfao_nomoo": lambda batch: Engine(db, multi_output=False).run(batch),
+        "lmfao_nomoo": lambda batch: run_nomoo(db, batch),
         "lmfao": lambda batch: Engine(db).run(batch),
     }
 
@@ -36,7 +36,7 @@ def warm_inputs(db) -> None:
     starts from the same warm inputs (generation and parallelize costs
     excluded from the measurement). Whether a frame is cached is asked of
     Spark (``storageLevel``): ``spark.catalog.clearCache()`` does not reset
-    the Python-side ``DataFrame.is_cached`` flag."""
+    the Python-side flag that ``DataFrame.cache()`` sets."""
     for name in db.tree.nodes:
         if not db.frames[name].storageLevel.useMemory:
             db.frames[name] = db.frames[name].cache()

@@ -26,8 +26,8 @@ def lr_rows(db, features, label, dataset: str) -> list[dict]:
     from _common import timed
 
     batch = sigma_batch(features, label)
-    with Engine(db) as eng:
-        secs_batch, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
+    eng = Engine(db)
+    secs_batch, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
     sm = assemble_sigma(results, features)
     t0 = time.perf_counter()
     theta, losses = bgd(sm, label, epochs=300)
@@ -53,8 +53,8 @@ def dt_rows(db, features, label, d_pdf, dataset: str, max_depth: int = 2) -> lis
     from _common import timed
 
     batch = node_batch(features, label)
-    with Engine(db) as eng:
-        secs_node, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
+    eng = Engine(db)
+    secs_node, results = timed(lambda: {n: df.toPandas() for n, df in eng.run(batch).items()})
     split, n, mean, sse = best_split(results, features)
 
     # exhaustive scan over materialized D (ground truth for the root split)

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 from _common import get_spark  # noqa: E402
 
 from repro.core import Engine, Query, SumProduct
-from repro.core.baseline import run_naive, run_shared_join
+from repro.core.baseline import run_naive, run_nomoo, run_shared_join
 from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
 from repro.oracle import assert_equivalent
@@ -41,7 +41,7 @@ for q in batch:
     assert_equivalent(res[q.name], sql, rtol=1e-9, **db.oracle_tables())
     print(f"   oracle OK ({res[q.name].count()} rows)")
 
-nomoo = Engine(db, multi_output=False).run(batch)
+nomoo = run_nomoo(db, batch)
 naive = run_naive(db, batch)
 shared = run_shared_join(db, batch)
 for q in batch:

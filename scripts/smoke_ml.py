@@ -29,8 +29,7 @@ features = [
     Feature("family", categorical=True),
 ]
 print("LR batch size:", len(sigma_batch(features, "units")))
-with Engine(db) as eng:
-    theta, losses, sm = train_linreg(eng, features, "units", epochs=300)
+theta, losses, sm = train_linreg(Engine(db), features, "units", epochs=300)
 j_bgd = ridge_objective(sm, "units", theta)
 j_cf = ridge_objective(sm, "units", closed_form(sm, "units"))
 print("sigma dims:", sm.sigma.shape, "loss[0]->[-1]:", losses[0], "->", losses[-1])

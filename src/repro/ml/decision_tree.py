@@ -155,8 +155,7 @@ def build_tree(
     batch = node_batch(features, label)
 
     def grow(cur: Database, depth: int) -> TreeNode:
-        with Engine(cur) as eng:
-            results = {n: df.toPandas() for n, df in eng.run(batch).items()}
+        results = {n: df.toPandas() for n, df in Engine(cur).run(batch).items()}
         split, n, mean, sse = best_split(results, features)
         node = TreeNode(prediction=mean, count=n, sse=sse)
         if (

@@ -90,8 +90,7 @@ def rkmeans(
     """Run the full 4-step Rk-means over ``attrs`` of the join of ``db``."""
     k_dim = k_dim or k
     t0 = time.perf_counter()
-    with Engine(db) as eng:
-        proj = {name: df.toPandas() for name, df in eng.run(projection_batch(attrs)).items()}
+    proj = {name: df.toPandas() for name, df in Engine(db).run(projection_batch(attrs)).items()}
     t1 = time.perf_counter()
 
     dim_centroids: dict[str, np.ndarray] = {}
@@ -108,8 +107,7 @@ def rkmeans(
     t2 = time.perf_counter()
 
     ext = extend_with_assignments(db, assigns)
-    with Engine(ext) as eng3:
-        grid = eng3.run([grid_query(attrs)])["grid"].toPandas()
+    grid = Engine(ext).run([grid_query(attrs)])["grid"].toPandas()
     t3 = time.perf_counter()
 
     pts = np.column_stack(

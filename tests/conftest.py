@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "jobs"))
 from _common import get_spark  # noqa: E402
 from corpus import FAVORITA_CORPUS, RETAILER_CORPUS, TPCH_CORPUS  # noqa: E402
 
-from repro.core.baseline import run_naive, run_shared_join  # noqa: E402
+from repro.core.baseline import run_naive, run_nomoo, run_shared_join  # noqa: E402
 from repro.core.executor import Engine  # noqa: E402
 from repro.datasets import favorita_db, retailer_db, tpch_db  # noqa: E402
 
@@ -58,7 +58,7 @@ def fav_results(fav_db):
 def fav_results_nomoo(fav_db):
     """Ablation: engine without the multi-output pass (partial aggregate
     plus rollup): one ``groupBy`` per view instead."""
-    return Engine(fav_db, multi_output=False).run(FAVORITA_CORPUS)
+    return run_nomoo(fav_db, FAVORITA_CORPUS)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +68,7 @@ def ret_results(ret_db):
 
 @pytest.fixture(scope="session")
 def ret_results_nomoo(ret_db):
-    return Engine(ret_db, multi_output=False).run(RETAILER_CORPUS)
+    return run_nomoo(ret_db, RETAILER_CORPUS)
 
 
 @pytest.fixture(scope="session")

@@ -9,27 +9,29 @@ and hash-joined there with each incoming view, where a null join key
 matches nothing. The views rolled up from the partial aggregate are computed on the driver
 with pyarrow and must agree with Spark's ``SUM`` on null keys, null
 values, all-null groups and empty inputs. A repeated batch finds its
-generated classes in the session's codegen cache. Only the fact-sized
-shared join of the ``multi_output=False`` ablation is cached, with the
-partitioning of its relation, until the engine is released. Passes run on
-a thread pool; a failing pass makes ``run`` raise its own exception and
-leaves no pool thread behind.
+generated classes in the session's codegen cache. Only the ablation
+without the multi-output layer (``baseline.run_nomoo``) caches anything:
+the fact-sized shared join of a pass with several views, with the
+partitioning of its relation, which the pass releases before it returns,
+also on error. Passes run on a thread pool; a failing pass makes ``run``
+raise its own exception and leaves no pool thread behind.
 
 Each test compares Spark's storage before and after its own engine run.
 The database has a seed of its own, so no frame of the session fixtures
 has the same plan (Spark would reuse that cache instead of adding one).
 """
 import threading
-from contextlib import nullcontext
 
 import pandas as pd
 import pytest
 from pyspark.errors import AnalysisException
+from pyspark.sql.classic.dataframe import DataFrame
 
 from corpus import FAVORITA_CORPUS
 from jobs_features import favorita_std
 from table1_batch_stats import rollups
 from repro.core.aggregates import Query, SumProduct
+from repro.core.baseline import run_nomoo
 from repro.core.database import Database
 from repro.core.executor import Engine
 from repro.core.schema import JoinTree, Relation
@@ -65,48 +67,90 @@ def test_views_are_driver_local(spark, db):
     before = set(_storage(spark))
     ungrouped = set(tracker.getJobIdsForGroup(None))
     try:
-        with Engine(db) as eng:
-            sc.setJobGroup("layout-run", "engine run")
-            results = eng.run(FAVORITA_CORPUS)
-            _drain(sc)
-            assert set(_storage(spark)) <= before
-            # Every pass job carries the caller's job group.
-            assert tracker.getJobIdsForGroup("layout-run")
-            assert set(tracker.getJobIdsForGroup(None)) <= ungrouped
-            sc.setJobGroup("layout-read", "read views and results")
-            for df in [*eng.views.values(), *results.values()]:
-                df.collect()
-            _drain(sc)
-            assert tracker.getJobIdsForGroup("layout-read") == []
+        eng = Engine(db)
+        sc.setJobGroup("layout-run", "engine run")
+        results = eng.run(FAVORITA_CORPUS)
+        _drain(sc)
+        assert set(_storage(spark)) <= before
+        # Every pass job carries the caller's job group.
+        assert tracker.getJobIdsForGroup("layout-run")
+        assert set(tracker.getJobIdsForGroup(None)) <= ungrouped
+        sc.setJobGroup("layout-read", "read views and results")
+        for df in [*eng.views.values(), *results.values()]:
+            df.collect()
+        _drain(sc)
+        assert tracker.getJobIdsForGroup("layout-read") == []
     finally:
         sc._jsc.clearJobGroup()
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["ok", "error"])
-def test_nomoo_shared_join_is_cached_and_released(spark, db, fail):
+NOMOO_ERRORS = {
+    "ok": ([], None),
+    # Fails when the ``sales`` pass reads its relation, before any cache.
+    "error": ([("units", "no_such_column > 0")], None),
+    # Fails in the fifth of the six views of the ``sales`` pass, after the
+    # first four read its cached shared join.
+    "agg-error": ([], Query.make("bad", ["promo"], v=SumProduct.of(units="(units + no_such_column)"))),
+}
+
+
+@pytest.mark.parametrize("case", list(NOMOO_ERRORS))
+def test_nomoo_releases_its_shared_joins(spark, db, monkeypatch, case):
+    """``run_nomoo`` caches the shared join of every pass with several
+    views, with its relation's partitioning, and each pass unpersists what
+    it cached before it returns: Spark storage holds no new RDD after the
+    call, also when a pass fails."""
+    filters, extra = NOMOO_ERRORS[case]
     partitions = {db.df(n).rdd.getNumPartitions() for n in db.tree.nodes}
     before = _storage(spark)
-    with pytest.raises(RuntimeError, match="after run") if fail else nullcontext():
-        with Engine(db, multi_output=False) as eng:
-            eng.run(FAVORITA_CORPUS)
-            new = {k: n for k, n in _storage(spark).items() if k not in before}
-            # Only the shared joins of passes with several views are cached.
-            assert len(eng._cached) >= 1
-            assert len(new) == len(eng._cached)
-            assert set(new.values()) <= partitions
-            if fail:
-                raise RuntimeError("after run")
-    assert not set(new) & set(_storage(spark))
-    eng.unpersist_all()  # a second release is a no-op
-    assert eng._cached == []
+    cached, released, held = [], [], {}
+    cache, unpersist = DataFrame.cache, DataFrame.unpersist
+
+    def spy_cache(df):
+        cached.append(df)
+        return cache(df)
+
+    def spy_unpersist(df, *args, **kwargs):
+        held.update((k, n) for k, n in _storage(spark).items() if k not in before)
+        released.append(df)
+        return unpersist(df, *args, **kwargs)
+
+    monkeypatch.setattr(DataFrame, "cache", spy_cache)
+    monkeypatch.setattr(DataFrame, "unpersist", spy_unpersist)
+    threads = set(threading.enumerate())
+    batch = FAVORITA_CORPUS + ([extra] if extra else [])
+    if case == "ok":
+        run_nomoo(db, batch)
+        # Only the shared joins of passes with several views are cached.
+        assert len(held) == len(cached)
+        assert set(held.values()) <= partitions
+    else:
+        with pytest.raises(AnalysisException, match="no_such_column"):
+            run_nomoo(db.with_filters(filters), batch)
+        assert set(threading.enumerate()) <= threads
+    assert len(cached) >= 1 or case == "error"
+    assert {id(df) for df in cached} <= {id(df) for df in released}
+    assert set(_storage(spark)) <= set(before)
+
+
+def test_nomoo_keeps_the_callers_cache(db):
+    """The ``stores`` pass of the corpus has two views and no incoming one,
+    so its base is the input frame itself. When the caller has cached it
+    (as T2 warms its inputs), the pass neither caches nor releases it."""
+    stores = db.frames["stores"].cache()
+    try:
+        stores.count()
+        run_nomoo(db, FAVORITA_CORPUS)
+        assert stores.storageLevel.useMemory
+    finally:
+        stores.unpersist()
 
 
 def test_failing_pass_raises_its_own_error(db):
     bad = db.with_filters([("units", "no_such_column > 0")])
     threads = set(threading.enumerate())
-    with Engine(bad) as eng:
-        with pytest.raises(AnalysisException, match="no_such_column"):
-            eng.run(FAVORITA_CORPUS)
+    with pytest.raises(AnalysisException, match="no_such_column"):
+        Engine(bad).run(FAVORITA_CORPUS)
     assert set(threading.enumerate()) <= threads
 
 
@@ -130,8 +174,7 @@ def test_rollups_start_no_spark_job(spark, db):
     batch = [both, Query.make("c", ["cluster"], n=count), Query.make("s", ["stype"], n=count)]
 
     def run(qs):
-        with Engine(db) as eng:
-            eng.run(qs, roots={q.name: "stores" for q in qs})
+        Engine(db).run(qs, roots={q.name: "stores" for q in qs})
 
     sc = spark.sparkContext
     assert _jobs_of(sc, "rollup-3", lambda: run(batch)) == _jobs_of(
@@ -212,15 +255,15 @@ def test_driver_rollups_match_spark_sum(null_db, filters):
     and the ablation (one Spark ``groupBy`` per view) give."""
     fdb = null_db.with_filters(filters)
     roots = {q.name: "dims" for q in NULL_BATCH}
-    with Engine(fdb) as eng, Engine(fdb, multi_output=False) as ablation:
-        res = eng.run(NULL_BATCH, roots)
-        ref = ablation.run(NULL_BATCH, roots)
-        assert rollups(eng.plan) == 3
-        for q in NULL_BATCH:
-            assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
-            pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
-            assert res[q.name].schema == ref[q.name].schema
-        total = res["all"].toPandas()
+    eng = Engine(fdb)
+    res = eng.run(NULL_BATCH, roots)
+    ref = run_nomoo(fdb, NULL_BATCH, roots)
+    assert rollups(eng.plan) == 3
+    for q in NULL_BATCH:
+        assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
+        pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
+        assert res[q.name].schema == ref[q.name].schema
+    total = res["all"].toPandas()
     if filters:
         # SUM over no rows, like Spark's and SQL's: one row, all null.
         assert len(total) == 1 and total.isna().all(axis=None)
@@ -281,15 +324,15 @@ def test_two_input_pass_matches_oracle(star_db, filters):
     results must be the oracle's and the ablation's (broadcast joins)."""
     fdb = star_db.with_filters(filters)
     roots = {q.name: "facts" for q in STAR_BATCH}
-    with Engine(fdb) as eng, Engine(fdb, multi_output=False) as ablation:
-        res = eng.run(STAR_BATCH, roots)
-        ref = ablation.run(STAR_BATCH, roots)
-        assert max(len(inputs) for _, inputs, _ in eng.plan.passes()) == 2
-        for q in STAR_BATCH:
-            assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
-            pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
-            assert res[q.name].schema == ref[q.name].schema
-        total = res["all"].toPandas()
+    eng = Engine(fdb)
+    res = eng.run(STAR_BATCH, roots)
+    ref = run_nomoo(fdb, STAR_BATCH, roots)
+    assert max(len(inputs) for _, inputs, _ in eng.plan.passes()) == 2
+    for q in STAR_BATCH:
+        assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
+        pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
+        assert res[q.name].schema == ref[q.name].schema
+    total = res["all"].toPandas()
     if filters:
         assert len(total) == 1 and total.isna().all(axis=None)
     else:
@@ -307,8 +350,7 @@ def test_repeated_batch_compiles_no_code(spark, fav_db):
     counts = []
     for _ in range(2):
         before = compiled.getCount()
-        with Engine(fav_db) as eng:
-            for df in eng.run(batch).values():
-                df.toPandas()
+        for df in Engine(fav_db).run(batch).values():
+            df.toPandas()
         counts.append(compiled.getCount() - before)
     assert counts[1] == 0, counts

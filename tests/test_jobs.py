@@ -116,7 +116,7 @@ def test_table2_runs_and_strategies_agree_on_shape(spark):
 
 
 def test_table2_warm_inputs_recache_after_clear_cache(spark):
-    """``clearCache()`` leaves ``DataFrame.is_cached`` set, so the warm-up
+    """``clearCache()`` leaves the flag that ``DataFrame.cache()`` sets, so the warm-up
     must ask Spark whether an input is still cached."""
     db = favorita_db(spark, sf=0.002, seed=5)
     table2_runtime.warm_inputs(db)

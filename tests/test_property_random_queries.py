@@ -53,19 +53,17 @@ def queries(draw):
 )
 @given(q=queries())
 def test_random_query_matches_oracle(fav_db, q):
-    with Engine(fav_db) as eng:
-        res = eng.run([q])
-        assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
+    res = Engine(fav_db).run([q])
+    assert_equivalent(res[q.name], query_to_sql(fav_db, q), rtol=1e-9, **fav_db.oracle_tables())
 
 
 def _check_batch(db, batch, parts):
     """Run ``batch`` over ``db`` with every input frame repartitioned to
     ``parts`` partitions and oracle-check each query against ``db``'s data."""
     split = Database(db.tree, {n: df.repartition(parts) for n, df in db.frames.items()}, db.filters)
-    with Engine(split) as eng:
-        res = eng.run(batch)
-        for q in batch:
-            assert_equivalent(res[q.name], query_to_sql(db, q), rtol=1e-9, **db.oracle_tables())
+    res = Engine(split).run(batch)
+    for q in batch:
+        assert_equivalent(res[q.name], query_to_sql(db, q), rtol=1e-9, **db.oracle_tables())
 
 
 @pytest.mark.slow
