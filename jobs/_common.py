@@ -26,6 +26,11 @@ def _driver_memory() -> str:
 def get_spark(app: str) -> SparkSession:
     """The local Spark session: broadcast joins off, Arrow on.
 
+    Arrow holds for this session only. ``Engine`` puts its query results
+    in a sibling session with Arrow off for ``toPandas``
+    (``repro.core.executor.results_session``), where collecting a result
+    starts no Spark job.
+
     Master and driver memory are read when the JVM launches, so they go
     into ``PYSPARK_SUBMIT_ARGS`` — only as a default, so launch args a
     caller has pinned beforehand win. The remaining configs are honoured
@@ -74,7 +79,9 @@ def get_spark(app: str) -> SparkSession:
 def force(results: dict[str, DataFrame]) -> int:
     """Collect every result frame, as the applications do; returns total
     output rows. (``count()`` would not do: Spark prunes every aggregate
-    of a ``groupBy(...).agg(...)`` it only counts.)"""
+    of a ``groupBy(...).agg(...)`` it only counts.) An ``Engine`` result
+    is collected on the driver without a Spark job; a baseline result
+    runs its aggregate here, in one job or more."""
     return sum(len(df.toPandas()) for df in results.values())
 
 

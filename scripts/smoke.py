@@ -1,5 +1,7 @@
 """Manual smoke test: run the paper's three example queries on Favorita
-through the engine, the baselines, and the DuckDB oracle.
+through the engine, the baselines, and the DuckDB oracle. Collecting the
+engine's results must start no Spark job (their output views live in a
+results session that collects by rows on the driver).
 
 Run from the repository root: ``PYTHONPATH=src python scripts/smoke.py``
 """
@@ -35,11 +37,20 @@ eng = Engine(db)
 res = eng.run(batch)
 print("roots:", eng.plan.roots)
 print("stats:", eng.plan.stats())
+sc = spark.sparkContext
+sc.setJobGroup("smoke-collect", "collect the engine's results")
+rows = {q.name: len(res[q.name].toPandas()) for q in batch}
+sc._jsc.clearJobGroup()
+sc._jsc.sc().listenerBus().waitUntilEmpty()
+jobs = sc.statusTracker().getJobIdsForGroup("smoke-collect")
+if jobs:
+    sys.exit(f"collecting the results started {len(jobs)} Spark jobs")
 for q in batch:
     sql = query_to_sql(db, q)
     print(f"-- {q.name}: {sql}")
     assert_equivalent(res[q.name], sql, rtol=1e-9, **db.oracle_tables())
-    print(f"   oracle OK ({res[q.name].count()} rows)")
+    print(f"   oracle OK ({rows[q.name]} rows)")
+print("results collected without a Spark job")
 
 nomoo = run_nomoo(db, batch)
 naive = run_naive(db, batch)

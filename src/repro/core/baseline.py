@@ -78,7 +78,7 @@ class _NoMoo(Engine):
         try:
             for vd in vds:
                 df = self._agg(base, vd.key.ga, [vd])
-                self.views[vd.key] = self._local(df, df.toArrow())
+                self.views[vd.key] = self._local(vd.key, df, df.toArrow())
         finally:
             if cache:
                 base.unpersist()

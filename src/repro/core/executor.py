@@ -14,7 +14,11 @@ its exception. For each pass:
    generated C++), so every view is held on the driver as an Arrow-backed
    local relation. A downstream pass, and every query result (a
    ``select`` of its output view), then plans over a leaf instead of the
-   nested lineage of every upstream view. The relation and every view are
+   nested lineage of every upstream view. An output view (one no pass
+   joins) lives in the caller's *results session* (``results_session``),
+   whose ``toPandas`` collects by rows: over a local relation that runs on
+   the driver and starts no Spark job, where the Arrow path of the
+   caller's session runs one per result. The relation and every view are
    read as one partition and each view is hash-joined into the relation
    with the view as the build side (the paper's α lookups). After every
    join the base is coalesced to one partition again, which, together
@@ -53,17 +57,39 @@ cache (``jobs/_common.get_spark``), so a repeated batch compiles none.
 """
 from __future__ import annotations
 
+import threading
+import weakref
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 
 import pyarrow as pa
 from pyspark import inheritable_thread_target
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
 from repro.core.aggregates import Query
 from repro.core.database import Database
 from repro.core.planner import Plan, ViewDef, ViewKey, plan_batch
+
+_results: weakref.WeakKeyDictionary[SparkSession, SparkSession] = weakref.WeakKeyDictionary()
+_results_lock = threading.Lock()
+
+
+def results_session(spark: SparkSession) -> SparkSession:
+    """The session that holds the output views of every run over
+    ``spark``: ``spark.newSession()`` (same SparkContext and cached data,
+    its own SQL configs) with ``spark.sql.execution.arrow.pyspark.enabled``
+    off, created once per caller session. ``createDataFrame`` of an Arrow table is Arrow-only
+    whatever that setting says; ``toPandas`` then takes the row path,
+    which collects a local relation on the driver without a Spark job and
+    gives the Arrow path's pandas dtypes. The caller's session is left as
+    it is."""
+    with _results_lock:
+        out = _results.get(spark)
+        if out is None:
+            out = _results[spark] = spark.newSession()
+            out.conf.set("spark.sql.execution.arrow.pyspark.enabled", "false")
+        return out
 
 
 class Engine:
@@ -149,16 +175,21 @@ class Engine:
                 )
                 out = sums.select([*gb, *(f"{c}_sum" for c in vd.cols)])
                 out = out.rename_columns([*gb, *vd.cols])
-            self.views[vd.key] = self._local(pre, out)
+            self.views[vd.key] = self._local(vd.key, pre, out)
 
     @staticmethod
-    def _local(df: DataFrame, table: pa.Table) -> DataFrame:
-        """Hold ``table``, computed from ``df``'s result, on the driver as
-        an Arrow-backed local relation (module docstring, step 1). Each
-        column takes the Spark field of the same name in ``df``, so types
-        and nullability stay exactly those of ``df``."""
+    def _local(key: ViewKey, df: DataFrame, table: pa.Table) -> DataFrame:
+        """Hold view ``key``'s ``table``, computed from ``df``'s result, on
+        the driver as an Arrow-backed local relation (module docstring,
+        step 1): in ``df``'s session if a later pass joins it, else in its
+        results session. Each column takes the Spark field of the same
+        name in ``df``, so types and nullability stay exactly those of
+        ``df``."""
+        spark = df.sparkSession
+        if key.parent is None:
+            spark = results_session(spark)
         fields = StructType([df.schema[c] for c in table.column_names])
-        return df.sparkSession.createDataFrame(table, schema=fields)
+        return spark.createDataFrame(table, schema=fields)
 
     @staticmethod
     def _agg(base: DataFrame, ga: frozenset[str], vds: list[ViewDef]) -> DataFrame:

@@ -3,11 +3,13 @@ that it cleans up.
 
 Views are small, so the engine holds each one on the driver as a local
 relation: a multi-output run leaves nothing in Spark storage, and reading
-a view starts no Spark job. A pass runs one Spark query, its partial
-aggregate, as one job of one task: its relation is read as one partition
-and hash-joined there with each incoming view, where a null join key
-matches nothing. The views rolled up from the partial aggregate are computed on the driver
-with pyarrow and must agree with Spark's ``SUM`` on null keys, null
+a view starts no Spark job. Output views live in a results session that
+collects by rows, so ``toPandas`` of a result starts no Spark job either
+and gives the pandas dtypes of the Arrow path. A pass runs one Spark
+query, its partial aggregate, as one job of one task: its relation is
+read as one partition and hash-joined there with each incoming view,
+where a null join key matches nothing. The views rolled up from the
+partial aggregate are computed on the driver with pyarrow and must agree with Spark's ``SUM`` on null keys, null
 values, all-null groups and empty inputs. A repeated batch finds its
 generated classes in the session's codegen cache. Only the ablation
 without the multi-output layer (``baseline.run_nomoo``) caches anything:
@@ -33,7 +35,7 @@ from table1_batch_stats import rollups
 from repro.core.aggregates import Query, SumProduct
 from repro.core.baseline import run_nomoo
 from repro.core.database import Database
-from repro.core.executor import Engine
+from repro.core.executor import Engine, results_session
 from repro.core.schema import JoinTree, Relation
 from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
@@ -165,6 +167,45 @@ def _jobs_of(sc, group: str, run) -> int:
     return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
+def test_results_collect_without_a_spark_job(spark, db):
+    """The LR Σ batch builds in 17 jobs, one per pass, and its 33 results
+    are collected with ``toPandas`` in none: each is a ``select`` of a
+    local relation in the results session, which collects by rows on the
+    driver. The caller's session keeps Arrow on, and runs over it share
+    one results session."""
+    sc = spark.sparkContext
+    batch = sigma_batch(favorita_std(), "units")
+    runs = []
+    assert _jobs_of(sc, "results-build", lambda: runs.append(Engine(db).run(batch))) == 17
+    pdfs = []
+
+    def collect():
+        pdfs.extend(df.toPandas() for df in runs[0].values())
+
+    assert _jobs_of(sc, "results-collect", collect) == 0
+    assert len(pdfs) == len(batch) == 33
+    assert spark.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+    runs.append(Engine(db).run(batch))
+    sessions = {id(df.sparkSession) for res in runs for df in res.values()}
+    assert sessions == {id(results_session(spark))} != {id(spark)}
+
+
+def _assert_arrow_dtypes(df) -> None:
+    """``df.toPandas()`` equals, dtypes included, the pandas that the
+    Arrow path of ``toPandas`` builds from the same rows."""
+    arrow = df.toArrow().to_pandas(date_as_object=True, coerce_temporal_nanoseconds=True)
+    pd.testing.assert_frame_equal(df.toPandas(), arrow, check_dtype=True)
+
+
+@pytest.mark.parametrize("results", ["fav_results", "ret_results"])
+def test_results_keep_arrow_dtypes(request, results):
+    """Every result of a corpus batch, collected by rows, has the values
+    and dtypes of the Arrow path (the oracle tells key columns from float
+    columns by dtype)."""
+    for df in request.getfixturevalue(results).values():
+        _assert_arrow_dtypes(df)
+
+
 def test_rollups_start_no_spark_job(spark, db):
     """At ``stores`` the views grouped by ``[cluster]`` and ``[stype]`` are
     rolled up from the ``[cluster, stype]`` partial aggregate of their
@@ -263,6 +304,7 @@ def test_driver_rollups_match_spark_sum(null_db, filters):
         assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
         pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
         assert res[q.name].schema == ref[q.name].schema
+        _assert_arrow_dtypes(res[q.name])
     total = res["all"].toPandas()
     if filters:
         # SUM over no rows, like Spark's and SQL's: one row, all null.
@@ -332,6 +374,7 @@ def test_two_input_pass_matches_oracle(star_db, filters):
         assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
         pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
         assert res[q.name].schema == ref[q.name].schema
+        _assert_arrow_dtypes(res[q.name])
     total = res["all"].toPandas()
     if filters:
         assert len(total) == 1 and total.isna().all(axis=None)
