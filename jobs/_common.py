@@ -35,8 +35,8 @@ def get_spark(app: str) -> SparkSession:
     into ``PYSPARK_SUBMIT_ARGS`` — only as a default, so launch args a
     caller has pinned beforehand win. The remaining configs are honoured
     after launch. Automatic broadcast is off so base-relation joins take
-    the shuffle path; the engine hash-joins its views into each pass's one
-    partition (and ``baseline.run_nomoo`` broadcasts them).
+    the shuffle path; the engine, and its ablation ``baseline.run_nomoo``,
+    hash-join their views into each pass's one partition.
 
     ``spark.sql.maxSinglePartitionBytes`` is unbounded so that a join of
     one-partition inputs stays in one partition. Without statistics

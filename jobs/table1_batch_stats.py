@@ -7,10 +7,11 @@ aggregates (DT: thresholds x 3 derived from the group-by results), and
 the plan-shape numbers that quantify LMFAO's sharing (#merged views,
 #view groups, #passes, #aggregate columns, #distinct roots). A pass is
 one join of a node relation with its incoming views, shared by all views
-the multi-output layer computes from it. ``levels`` is the longest chain
-of passes each of which reads a view of the one before: the engine runs
-independent passes at the same time, so passes / levels bounds the task
-parallelism a batch offers. ``rollups`` counts the views grouped by less
+the multi-output layer computes from it. ``levels``, ``rollups`` and
+``view_joins`` are the ``Plan`` methods of those names. ``levels`` is the
+longest chain of passes each of which reads a view of the one before:
+the engine runs independent passes at the same time, so passes / levels
+bounds the task parallelism a batch offers. ``rollups`` counts the views grouped by less
 than the union of their pass: the engine derives them on the driver from
 the pass's partial aggregate, without a Spark query of their own.
 ``view_joins`` sums the incoming views over the passes: the hash joins
@@ -32,29 +33,6 @@ from repro.ml.linreg import favorita_features, retailer_features, sigma_batch
 from repro.ml.rkmeans import projection_batch
 
 
-def levels(plan) -> int:
-    """Length of the longest chain of dependent passes of ``plan``."""
-    level = {}
-    for _, inputs, vds in plan.passes():  # dependency order
-        n = 1 + max((level[vk] for vk in inputs), default=0)
-        level.update((vd.key, n) for vd in vds)
-    return max(level.values(), default=0)
-
-
-def rollups(plan) -> int:
-    """Views of ``plan`` whose group-by is not the union of their pass's."""
-    n = 0
-    for _, _, vds in plan.passes():
-        universe = frozenset().union(*(vd.key.ga for vd in vds))
-        n += sum(vd.key.ga != universe for vd in vds)
-    return n
-
-
-def view_joins(plan) -> int:
-    """Incoming views of ``plan``, summed over its passes."""
-    return sum(len(inputs) for _, inputs, _ in plan.passes())
-
-
 def _plan_row(db, batch, app, dataset, effective=None):
     plan = plan_batch(db.tree, batch)
     s = plan.stats()
@@ -66,9 +44,9 @@ def _plan_row(db, batch, app, dataset, effective=None):
         "merged_views": s["merged_views"],
         "view_groups": s["view_groups"],
         "passes": len(plan.passes()),
-        "levels": levels(plan),
-        "rollups": rollups(plan),
-        "view_joins": view_joins(plan),
+        "levels": plan.levels(),
+        "rollups": plan.rollups(),
+        "view_joins": plan.view_joins(),
         "view_columns": s["view_columns"],
         "roots": s["roots"],
     }

@@ -1,7 +1,9 @@
 """Manual smoke test: run the paper's three example queries on Favorita
 through the engine, the baselines, and the DuckDB oracle. Collecting the
 engine's results must start no Spark job (their output views live in a
-results session that collects by rows on the driver).
+results session that collects by rows on the driver), and the ablation
+without the multi-output layer must leave no RDD in Spark storage beyond
+the cached inputs.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/smoke.py``
 """
@@ -11,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
 
 from _common import get_spark  # noqa: E402
+from table2_runtime import warm_inputs  # noqa: E402
 
 from repro.core import Engine, Query, SumProduct
 from repro.core.baseline import run_naive, run_nomoo, run_shared_join
@@ -52,14 +55,19 @@ for q in batch:
     print(f"   oracle OK ({rows[q.name]} rows)")
 print("results collected without a Spark job")
 
+warm_inputs(db)
+cached = {i.id() for i in sc._jsc.sc().getRDDStorageInfo()}
 nomoo = run_nomoo(db, batch)
+left = {i.id() for i in sc._jsc.sc().getRDDStorageInfo()} - cached
+if left:
+    sys.exit(f"run_nomoo left {len(left)} RDDs in Spark storage")
 naive = run_naive(db, batch)
 shared = run_shared_join(db, batch)
 for q in batch:
     sql = query_to_sql(db, q)
     for name, r in [("nomoo", nomoo), ("naive", naive), ("shared", shared)]:
         assert_equivalent(r[q.name], sql, rtol=1e-9, **db.oracle_tables())
-print("all strategies agree with oracle")
+print("all strategies agree with oracle; run_nomoo left nothing in Spark storage")
 
 # Filtered database (CART-style condition).
 fdb = db.with_filters([("txns", "txns <= 2000"), ("family", "family = 'GROCERY'")])

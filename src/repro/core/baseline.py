@@ -14,9 +14,11 @@
     partial aggregates.
 
 ``run_nomoo``
-    LMFAO without its Multi-Output layer (the ablation): the engine's plan
-    and pass scheduler, but each view of a pass runs its own ``groupBy``
-    over the pass's joined base instead of sharing one partial aggregate.
+    LMFAO without its Multi-Output layer (the ablation): the engine's plan,
+    pass scheduler and pass join (``Engine._joined``), but each view of a
+    pass runs its own ``groupBy`` over the pass's joined base, as one Spark
+    job, instead of sharing one partial aggregate. The Multi-Output layer
+    is the only difference from the engine.
 
 All return the same ``{query name -> DataFrame}`` shape as
 :class:`repro.core.executor.Engine`, so tests assert all strategies agree
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 
-from pyspark import StorageLevel
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -62,29 +63,16 @@ class _NoMoo(Engine):
     def _pass(
         self, deps: list[Future], node: str, inputs: tuple[ViewKey, ...], vds: list[ViewDef]
     ) -> None:
-        """Broadcast each incoming view (as one partition) into ``node``'s
-        relation and collect one ``groupBy`` per view. A pass with several
-        views caches its joined base and releases it before it returns,
-        also on error; a base the caller had cached is left as it is."""
-        for f in deps:
-            f.result()
-        base = self.db.df(node)
-        for vk in inputs:
-            on = sorted(self.tree.join_attrs(vk.node, node))
-            base = base.join(F.broadcast(self.views[vk].coalesce(1)), on=on, how="inner")
-        cache = len(vds) > 1 and base.storageLevel == StorageLevel.NONE
-        if cache:
-            base = base.cache()  # shared scan, one groupBy per view
-        try:
-            for vd in vds:
-                df = self._agg(base, vd.key.ga, [vd])
-                self.views[vd.key] = self._local(vd.key, df, df.toArrow())
-        finally:
-            if cache:
-                base.unpersist()
+        """Join ``node``'s relation with its incoming views as the engine
+        does (``_joined``) and collect one ``groupBy`` per view over it:
+        the base is scanned and joined again for every view."""
+        base = self._joined(deps, node, inputs)
+        for vd in vds:
+            df = self._agg(base, vd.key.ga, [vd])
+            self.views[vd.key] = self._local(vd.key, df, df.toArrow())
 
 
 def run_nomoo(db: Database, queries: list[Query], roots: dict[str, str] | None = None) -> dict[str, DataFrame]:
-    """``Engine(db).run`` with one ``groupBy`` per view; leaves nothing of
-    its own in Spark storage."""
+    """``Engine(db).run`` with one ``groupBy`` per view; like the engine,
+    it holds nothing in Spark storage."""
     return _NoMoo(db).run(queries, roots)

@@ -47,7 +47,9 @@ its exception. For each pass:
    ``GROUPING SETS`` would be the obvious alternative, but Spark
    implements it with an Expand operator that *replicates every input
    row once per grouping set* — the opposite of single-pass sharing.)
-   The ablation without this layer is ``baseline.run_nomoo``.
+   The ablation without this layer is ``baseline.run_nomoo``: the same
+   plan, scheduler and pass join (``Engine._joined``), with one Spark
+   aggregate per view instead of the shared one.
 
 Code generation: instead of emitting C++ specialized to the schema, we
 emit Spark SQL specialized to the schema and join tree and let Catalyst /
@@ -147,21 +149,14 @@ class Engine:
     def _pass(
         self, deps: list[Future], node: str, inputs: tuple[ViewKey, ...], vds: list[ViewDef]
     ) -> None:
-        """Join ``node``'s relation with its incoming views, once the
-        passes in ``deps`` produced them, and compute the views ``vds``
-        from one shared aggregation: partial-aggregate the joined base by
-        the union of the group attrs (every aggregate column computed
-        exactly once over the scan), collect it once, then derive each view
-        from it on the driver. Correct because every aggregate is a SUM,
-        which is decomposable over the finer grouping."""
-        for f in deps:
-            f.result()
-        base = self.db.df(node).coalesce(1)
-        for vk in inputs:
-            on = sorted(self.tree.join_attrs(vk.node, node))
-            # A hash join that builds its table from the view.
-            view = self.views[vk].coalesce(1).hint("shuffle_hash")
-            base = base.join(view, on=on, how="inner").coalesce(1)
+        """Compute the views ``vds`` from one shared aggregation over
+        ``node``'s relation joined with its incoming views (``_joined``):
+        partial-aggregate the joined base by the union of the group attrs
+        (every aggregate column computed exactly once over the scan),
+        collect it once, then derive each view from it on the driver.
+        Correct because every aggregate is a SUM, which is decomposable
+        over the finer grouping."""
+        base = self._joined(deps, node, inputs)
         universe = frozenset().union(*(vd.key.ga for vd in vds))
         pre = self._agg(base, universe, vds)
         table = pre.toArrow()
@@ -176,6 +171,21 @@ class Engine:
                 out = sums.select([*gb, *(f"{c}_sum" for c in vd.cols)])
                 out = out.rename_columns([*gb, *vd.cols])
             self.views[vd.key] = self._local(vd.key, pre, out)
+
+    def _joined(self, deps: list[Future], node: str, inputs: tuple[ViewKey, ...]) -> DataFrame:
+        """``node``'s relation joined with its incoming views ``inputs``,
+        once the passes in ``deps`` produced them: the relation and every
+        view read as one partition, each view hash-joined with the view as
+        the build side, and the base coalesced to one partition again
+        after each join (module docstring, step 1)."""
+        for f in deps:
+            f.result()
+        base = self.db.df(node).coalesce(1)
+        for vk in inputs:
+            on = sorted(self.tree.join_attrs(vk.node, node))
+            view = self.views[vk].coalesce(1).hint("shuffle_hash")
+            base = base.join(view, on=on, how="inner").coalesce(1)
+        return base
 
     @staticmethod
     def _local(key: ViewKey, df: DataFrame, table: pa.Table) -> DataFrame:

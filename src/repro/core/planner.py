@@ -140,6 +140,31 @@ class Plan:
 
         return [(node, inputs, vds) for (node, _, inputs), vds in sorted(groups.items(), key=order)]
 
+    def levels(self) -> int:
+        """Length of the longest chain of passes each of which reads a
+        view of the one before. Independent passes run at the same time,
+        so passes / levels bounds the task parallelism of the batch."""
+        level: dict[ViewKey, int] = {}
+        for _, inputs, vds in self.passes():  # dependency order
+            n = 1 + max((level[vk] for vk in inputs), default=0)
+            level.update((vd.key, n) for vd in vds)
+        return max(level.values(), default=0)
+
+    def rollups(self) -> int:
+        """Views grouped by less than the union of their pass's group
+        attrs: the executor derives them on the driver from the pass's
+        partial aggregate, without a Spark query of their own."""
+        n = 0
+        for _, _, vds in self.passes():
+            universe = frozenset().union(*(vd.key.ga for vd in vds))
+            n += sum(vd.key.ga != universe for vd in vds)
+        return n
+
+    def view_joins(self) -> int:
+        """Incoming views summed over the passes: the joins of a view into
+        its pass's relation."""
+        return sum(len(inputs) for _, inputs, _ in self.passes())
+
     def stats(self) -> dict[str, int]:
         """Plan-shape statistics reported in Table T1."""
         inner = [vd for vd in self.views.values() if vd.key.parent is not None]

@@ -11,12 +11,11 @@ read as one partition and hash-joined there with each incoming view,
 where a null join key matches nothing. The views rolled up from the
 partial aggregate are computed on the driver with pyarrow and must agree with Spark's ``SUM`` on null keys, null
 values, all-null groups and empty inputs. A repeated batch finds its
-generated classes in the session's codegen cache. Only the ablation
-without the multi-output layer (``baseline.run_nomoo``) caches anything:
-the fact-sized shared join of a pass with several views, with the
-partitioning of its relation, which the pass releases before it returns,
-also on error. Passes run on a thread pool; a failing pass makes ``run``
-raise its own exception and leaves no pool thread behind.
+generated classes in the session's codegen cache. The ablation without
+the multi-output layer (``baseline.run_nomoo``) joins each pass as the
+engine does and caches nothing either; it runs one job of one task per
+view. Passes run on a thread pool; a failing pass makes ``run`` raise its
+own exception and leaves no pool thread behind.
 
 Each test compares Spark's storage before and after its own engine run.
 The database has a seed of its own, so no frame of the session fixtures
@@ -31,11 +30,11 @@ from pyspark.sql.classic.dataframe import DataFrame
 
 from corpus import FAVORITA_CORPUS
 from jobs_features import favorita_std
-from table1_batch_stats import rollups
 from repro.core.aggregates import Query, SumProduct
 from repro.core.baseline import run_nomoo
 from repro.core.database import Database
 from repro.core.executor import Engine, results_session
+from repro.core.planner import plan_batch
 from repro.core.schema import JoinTree, Relation
 from repro.core.sql_compile import query_to_sql
 from repro.datasets import favorita_db
@@ -49,12 +48,9 @@ def db(spark):
     return favorita_db(spark, sf=0.002, seed=11)
 
 
-def _storage(spark) -> dict[int, int]:
-    """RDD id -> partition count of every RDD held in Spark storage."""
-    return {
-        i.id(): i.numPartitions()
-        for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()
-    }
+def _storage(spark) -> set[int]:
+    """Ids of the RDDs held in Spark storage."""
+    return {i.id() for i in spark.sparkContext._jsc.sc().getRDDStorageInfo()}
 
 
 def _drain(sc) -> None:
@@ -66,14 +62,14 @@ def test_views_are_driver_local(spark, db):
     sc = spark.sparkContext
     tracker = sc.statusTracker()
     _drain(sc)
-    before = set(_storage(spark))
+    before = _storage(spark)
     ungrouped = set(tracker.getJobIdsForGroup(None))
     try:
         eng = Engine(db)
         sc.setJobGroup("layout-run", "engine run")
         results = eng.run(FAVORITA_CORPUS)
         _drain(sc)
-        assert set(_storage(spark)) <= before
+        assert _storage(spark) <= before
         # Every pass job carries the caller's job group.
         assert tracker.getJobIdsForGroup("layout-run")
         assert set(tracker.getJobIdsForGroup(None)) <= ungrouped
@@ -88,62 +84,56 @@ def test_views_are_driver_local(spark, db):
 
 NOMOO_ERRORS = {
     "ok": ([], None),
-    # Fails when the ``sales`` pass reads its relation, before any cache.
+    # Fails when the ``sales`` pass reads its relation.
     "error": ([("units", "no_such_column > 0")], None),
-    # Fails in the fifth of the six views of the ``sales`` pass, after the
-    # first four read its cached shared join.
+    # Fails in the aggregate of the ``bad`` view, after its pass's join
+    # resolved.
     "agg-error": ([], Query.make("bad", ["promo"], v=SumProduct.of(units="(units + no_such_column)"))),
 }
 
 
 @pytest.mark.parametrize("case", list(NOMOO_ERRORS))
-def test_nomoo_releases_its_shared_joins(spark, db, monkeypatch, case):
-    """``run_nomoo`` caches the shared join of every pass with several
-    views, with its relation's partitioning, and each pass unpersists what
-    it cached before it returns: Spark storage holds no new RDD after the
-    call, also when a pass fails."""
+def test_nomoo_leaves_storage_as_it_found_it(spark, db, monkeypatch, case):
+    """``run_nomoo`` calls neither ``DataFrame.cache`` nor ``unpersist``:
+    Spark storage holds no new RDD after the call, no pool thread is left
+    behind, and a failing pass raises its own error."""
     filters, extra = NOMOO_ERRORS[case]
-    partitions = {db.df(n).rdd.getNumPartitions() for n in db.tree.nodes}
+    calls = []
+
+    def spy(name, orig):
+        def wrapped(df, *args, **kwargs):
+            calls.append(name)
+            return orig(df, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(DataFrame, "cache", spy("cache", DataFrame.cache))
+    monkeypatch.setattr(DataFrame, "unpersist", spy("unpersist", DataFrame.unpersist))
     before = _storage(spark)
-    cached, released, held = [], [], {}
-    cache, unpersist = DataFrame.cache, DataFrame.unpersist
-
-    def spy_cache(df):
-        cached.append(df)
-        return cache(df)
-
-    def spy_unpersist(df, *args, **kwargs):
-        held.update((k, n) for k, n in _storage(spark).items() if k not in before)
-        released.append(df)
-        return unpersist(df, *args, **kwargs)
-
-    monkeypatch.setattr(DataFrame, "cache", spy_cache)
-    monkeypatch.setattr(DataFrame, "unpersist", spy_unpersist)
     threads = set(threading.enumerate())
     batch = FAVORITA_CORPUS + ([extra] if extra else [])
     if case == "ok":
         run_nomoo(db, batch)
-        # Only the shared joins of passes with several views are cached.
-        assert len(held) == len(cached)
-        assert set(held.values()) <= partitions
     else:
         with pytest.raises(AnalysisException, match="no_such_column"):
             run_nomoo(db.with_filters(filters), batch)
-        assert set(threading.enumerate()) <= threads
-    assert len(cached) >= 1 or case == "error"
-    assert {id(df) for df in cached} <= {id(df) for df in released}
-    assert set(_storage(spark)) <= set(before)
+    assert calls == []
+    assert _storage(spark) <= before
+    assert set(threading.enumerate()) <= threads
 
 
-def test_nomoo_keeps_the_callers_cache(db):
-    """The ``stores`` pass of the corpus has two views and no incoming one,
-    so its base is the input frame itself. When the caller has cached it
-    (as T2 warms its inputs), the pass neither caches nor releases it."""
+def test_nomoo_keeps_the_callers_cache(spark, db):
+    """An input relation the caller has cached (as T2 warms its inputs)
+    is still cached after ``run_nomoo``, with all of its blocks."""
+    before = _storage(spark)
     stores = db.frames["stores"].cache()
     try:
         stores.count()
+        held = _storage(spark) - before
+        assert held
         run_nomoo(db, FAVORITA_CORPUS)
         assert stores.storageLevel.useMemory
+        assert held <= _storage(spark) <= before | held
     finally:
         stores.unpersist()
 
@@ -165,6 +155,16 @@ def _jobs_of(sc, group: str, run) -> int:
         sc._jsc.clearJobGroup()
     _drain(sc)
     return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _stage_tasks(sc, group: str) -> list[int]:
+    """Task count of every stage of the jobs of job group ``group``."""
+    tracker = sc.statusTracker()
+    return [
+        tracker.getStageInfo(s).numTasks
+        for j in tracker.getJobIdsForGroup(group)
+        for s in tracker.getJobInfo(j).stageIds
+    ]
 
 
 def test_results_collect_without_a_spark_job(spark, db):
@@ -229,7 +229,6 @@ def test_pass_jobs_run_one_task(spark, db):
     task: the incoming views are joined inside the pass's task, so no view
     is broadcast and nothing is shuffled."""
     sc = spark.sparkContext
-    tracker = sc.statusTracker()
     batches = {
         "lr-sigma": (sigma_batch(favorita_std(), "units"), 17),
         "rkmeans-projections": (projection_batch(["units", "txns", "oilprize"]), 10),
@@ -238,13 +237,21 @@ def test_pass_jobs_run_one_task(spark, db):
         eng = Engine(db)
         jobs = _jobs_of(sc, group, lambda: eng.run(batch))
         assert jobs == len(eng.plan.passes()) == passes, group
-        stages = [
-            tracker.getStageInfo(s)
-            for j in tracker.getJobIdsForGroup(group)
-            for s in tracker.getJobInfo(j).stageIds
-        ]
-        assert len(stages) == jobs, group
-        assert [s.numTasks for s in stages] == [1] * jobs, group
+        assert _stage_tasks(sc, group) == [1] * jobs, group
+
+
+def test_nomoo_jobs_run_one_task(spark, db):
+    """Without the multi-output layer the Favorita LR Σ batch builds in
+    one job per view, 21 (12 merged and 9 output views) against the
+    engine's 17, and each job is still one stage of one task: the ablation
+    joins each pass as the engine does."""
+    sc = spark.sparkContext
+    batch = sigma_batch(favorita_std(), "units")
+    stats = plan_batch(db.tree, batch).stats()
+    jobs = _jobs_of(sc, "nomoo-lr-sigma", lambda: run_nomoo(db, batch))
+    assert (stats["merged_views"], stats["output_views"]) == (12, 9)
+    assert jobs == stats["merged_views"] + stats["output_views"] == 21
+    assert _stage_tasks(sc, "nomoo-lr-sigma") == [1] * jobs
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +306,7 @@ def test_driver_rollups_match_spark_sum(null_db, filters):
     eng = Engine(fdb)
     res = eng.run(NULL_BATCH, roots)
     ref = run_nomoo(fdb, NULL_BATCH, roots)
-    assert rollups(eng.plan) == 3
+    assert eng.plan.rollups() == 3
     for q in NULL_BATCH:
         assert_equivalent(res[q.name], query_to_sql(fdb, q), rtol=1e-9, **fdb.oracle_tables())
         pd.testing.assert_frame_equal(_rows(res[q.name]), _rows(ref[q.name]))
@@ -363,7 +370,8 @@ def test_two_input_pass_matches_oracle(star_db, filters):
     """Rooted at ``facts``, the views out of ``d1`` and ``d2`` are both
     joined into one pass over ``facts``, inside its one task. Null join
     keys match nothing, and a filter on ``d2`` empties the join; the
-    results must be the oracle's and the ablation's (broadcast joins)."""
+    results must be the oracle's and the ablation's (one Spark
+    ``groupBy`` per view)."""
     fdb = star_db.with_filters(filters)
     roots = {q.name: "facts" for q in STAR_BATCH}
     eng = Engine(fdb)

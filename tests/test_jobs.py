@@ -56,7 +56,7 @@ def test_table1_levels():
 
     q = Query.make("q", ["iclass"], v=SumProduct.of(units="units"))
     plan = plan_batch(favorita_tree(), [q], roots={"q": "items"})
-    assert (len(plan.passes()), table1_batch_stats.levels(plan)) == (6, 4)
+    assert (len(plan.passes()), plan.levels()) == (6, 4)
 
 
 def test_table1_levels_bounded_by_passes(t1):
@@ -83,7 +83,7 @@ def test_table1_rollups_of_benchmark_batches(fav_db):
         (fav_db, projection_batch(attrs)),
         (ext, [grid_query(attrs)]),
     ]
-    got = [table1_batch_stats.rollups(plan_batch(db.tree, b)) for db, b in batches]
+    got = [plan_batch(db.tree, b).rollups() for db, b in batches]
     assert got == [5, 0, 0]
 
 
@@ -100,7 +100,7 @@ def test_table1_view_joins_of_benchmark_batches(fav_db):
         plan_batch(fav_db.tree, sigma_batch(favorita_std(), "units")),
         plan_batch(fav_db.tree, projection_batch(["units", "txns", "oilprize"])),
     ]
-    got = [(len(p.passes()), table1_batch_stats.view_joins(p)) for p in plans]
+    got = [(len(p.passes()), p.view_joins()) for p in plans]
     assert got == [(17, 25), (10, 14)]
 
 
